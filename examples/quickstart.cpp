@@ -151,6 +151,9 @@ int main(int argc, char** argv) {
   for (const auto& e : out.log.events()) {
     if (++n > 12) break;
     std::printf("  %s", e.key.c_str());
+    // Hyperparameter events carry the hyperparameter's name in their meta.
+    if (const auto name = e.meta.find("name"); name != e.meta.end())
+      std::printf(" %s", name->second.c_str());
     if (const double* d = std::get_if<double>(&e.value)) std::printf(" = %g", *d);
     if (const std::string* s = std::get_if<std::string>(&e.value))
       std::printf(" = %s", s->c_str());

@@ -52,8 +52,19 @@ void Node::accumulate_grad(const Tensor& g) {
 
 }  // namespace detail
 
+namespace {
+thread_local bool t_grad_enabled = true;
+}  // namespace
+
+NoGradGuard::NoGradGuard() : prev_(t_grad_enabled) { t_grad_enabled = false; }
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = prev_; }
+
+bool grad_enabled() { return t_grad_enabled; }
+
 Variable Variable::from_op(Tensor value, std::vector<Variable> parents, BackwardFn backward_fn) {
   Variable out(std::move(value));
+  if (!t_grad_enabled) return out;  // tape-free: parents and closure dropped here
   bool rg = false;
   out.node_->parents.reserve(parents.size());
   for (const auto& p : parents) {
@@ -166,53 +177,51 @@ std::int64_t GraphEpoch::last_pool_hits() {
 
 namespace {
 
-Variable broadcast_binary(const Variable& a, const Variable& b,
-                          const std::function<float(float, float)>& f,
-                          // dL/da given (out_grad, a_val, b_val) elementwise factor
-                          const std::function<Tensor(const Tensor&, const Variable&,
-                                                     const Variable&)>& grad_a,
-                          const std::function<Tensor(const Tensor&, const Variable&,
-                                                     const Variable&)>& grad_b) {
+// Forward `f` and the two gradient functors are template parameters, so the
+// forward element loop inlines `f` (Tensor::binary's template path) and the
+// backward closure carries the functors by value instead of as
+// std::function copies. Each gradient functor maps (out_grad, a, b) values
+// to that parent's unreduced gradient.
+template <typename F, typename GradA, typename GradB>
+Variable broadcast_binary(const Variable& a, const Variable& b, F f, GradA grad_a,
+                          GradB grad_b) {
   Tensor out = a.value().binary(b.value(), f);
   auto an = a.node();
   auto bn = b.node();
-  return Variable::from_op(std::move(out), {a, b},
-                           [an, bn, a, b, grad_a, grad_b](const Tensor& g) {
-                             if (an->requires_grad) an->accumulate_grad(grad_a(g, a, b));
-                             if (bn->requires_grad) bn->accumulate_grad(grad_b(g, a, b));
-                           });
+  return Variable::from_op(std::move(out), {a, b}, [an, bn, grad_a, grad_b](const Tensor& g) {
+    if (an->requires_grad) an->accumulate_grad(grad_a(g, an->value, bn->value));
+    if (bn->requires_grad) bn->accumulate_grad(grad_b(g, an->value, bn->value));
+  });
 }
 
 }  // namespace
 
 Variable add(const Variable& a, const Variable& b) {
   return broadcast_binary(
-      a, b, std::plus<float>{},
-      [](const Tensor& g, const Variable&, const Variable&) { return g; },
-      [](const Tensor& g, const Variable&, const Variable&) { return g; });
+      a, b, std::plus<float>{}, [](const Tensor& g, const Tensor&, const Tensor&) { return g; },
+      [](const Tensor& g, const Tensor&, const Tensor&) { return g; });
 }
 
 Variable sub(const Variable& a, const Variable& b) {
   return broadcast_binary(
-      a, b, std::minus<float>{},
-      [](const Tensor& g, const Variable&, const Variable&) { return g; },
-      [](const Tensor& g, const Variable&, const Variable&) { return g.neg(); });
+      a, b, std::minus<float>{}, [](const Tensor& g, const Tensor&, const Tensor&) { return g; },
+      [](const Tensor& g, const Tensor&, const Tensor&) { return g.neg(); });
 }
 
 Variable mul(const Variable& a, const Variable& b) {
   return broadcast_binary(
       a, b, std::multiplies<float>{},
-      [](const Tensor& g, const Variable&, const Variable& bb) { return g.mul(bb.value()); },
-      [](const Tensor& g, const Variable& aa, const Variable&) { return g.mul(aa.value()); });
+      [](const Tensor& g, const Tensor&, const Tensor& bv) { return g.mul(bv); },
+      [](const Tensor& g, const Tensor& av, const Tensor&) { return g.mul(av); });
 }
 
 Variable div(const Variable& a, const Variable& b) {
   return broadcast_binary(
       a, b, std::divides<float>{},
-      [](const Tensor& g, const Variable&, const Variable& bb) { return g.div(bb.value()); },
-      [](const Tensor& g, const Variable& aa, const Variable& bb) {
+      [](const Tensor& g, const Tensor&, const Tensor& bv) { return g.div(bv); },
+      [](const Tensor& g, const Tensor& av, const Tensor& bv) {
         // d/db (a/b) = -a / b^2
-        return g.mul(aa.value()).div(bb.value().mul(bb.value())).neg();
+        return g.mul(av).div(bv.mul(bv)).neg();
       });
 }
 

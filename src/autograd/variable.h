@@ -43,7 +43,8 @@ class Variable {
 
   /// Build a non-leaf from an op: `value` is the op output; `backward_fn`
   /// accumulates into the parents. The node requires grad iff any parent
-  /// does. This is the extension point `nn` uses for conv/pool/etc.
+  /// does. This is the extension point `nn` uses for conv/pool/etc. Under a
+  /// NoGradGuard the result is a plain leaf: no parents, no closure, no grad.
   static Variable from_op(tensor::Tensor value, std::vector<Variable> parents,
                           BackwardFn backward_fn);
 
@@ -97,6 +98,28 @@ class GraphEpoch {
   std::int64_t hits0_;
   std::int64_t misses0_;
 };
+
+/// Thread-local inference mode. While a guard is open on this thread,
+/// `Variable::from_op` records no tape: every op output is a leaf with no
+/// parents, no backward closure and `requires_grad() == false`, so the
+/// activations (and captured tensors) an op would have kept for backward are
+/// released as soon as their last handle dies, and conv2d keeps no im2col
+/// pack cache. Forward values are computed by the same kernels either way —
+/// bitwise identical with and without the guard. Guards nest; each restores
+/// the mode it found. Other threads are unaffected.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// False while a NoGradGuard is open on the calling thread.
+bool grad_enabled();
 
 // ---- differentiable primitives -------------------------------------------
 // All binary ops broadcast like tensor::Tensor::binary and reduce gradients

@@ -2,6 +2,7 @@
 
 #include <csignal>
 
+#include "autograd/variable.h"
 #include "checkpoint/format.h"
 #include "checkpoint/state.h"
 #include "core/op_profile.h"
@@ -173,7 +174,13 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
       log.log(clock.now_ms(), core::keys::kEvalStart, static_cast<double>(epoch));
       log.log(clock.now_ms(), core::keys::kDataTouch, std::string("eval"),
               {{"split", "val"}});
-      const double quality = workload.evaluate();
+      // Quality evaluation is inference: no op records a tape (bitwise the
+      // same quality, minus the graph bookkeeping — see NoGradGuard).
+      double quality;
+      {
+        autograd::NoGradGuard no_grad;
+        quality = workload.evaluate();
+      }
       log.log(clock.now_ms(), core::keys::kEvalAccuracy, quality,
               {{"epoch", std::to_string(epoch)}});
       outcome.final_quality = quality;

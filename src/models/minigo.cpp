@@ -82,6 +82,7 @@ PolicyValueNet::Output PolicyValueNet::forward(const Variable& planes) {
 }
 
 std::pair<std::vector<float>, float> PolicyValueNet::infer(const Board& board) {
+  autograd::NoGradGuard no_grad;  // MCTS leaf evaluation never backpropagates
   const bool was_training = training();
   set_training(false);
   Tensor planes = board_planes(board);

@@ -1,5 +1,6 @@
 #include "models/transformer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -36,10 +37,29 @@ Variable TransformerBlock::forward(const Variable& x, const Variable* memory) {
     if (!memory) throw std::invalid_argument("TransformerBlock: cross block needs memory");
     y = ln2_.forward(autograd::add(y, cross_attn_->forward(y, *memory, *memory, false)));
   }
+  return feed_forward(y);
+}
+
+Variable TransformerBlock::feed_forward(const Variable& y) const {
   const std::int64_t b = y.shape()[0], t = y.shape()[1], d = y.shape()[2];
   Variable flat = autograd::reshape(y, {b * t, d});
   Variable ff = ff2_.forward(ff1_.forward_relu(flat));  // fused bias+ReLU
   return ln3_.forward(autograd::add(y, autograd::reshape(ff, {b, t, d})));
+}
+
+TransformerBlock::DecodeCache TransformerBlock::start_decode(const Variable& memory,
+                                                             std::int64_t max_len) const {
+  if (!causal_) throw std::logic_error("TransformerBlock: only causal blocks decode stepwise");
+  DecodeCache cache{self_attn_.empty_cache(memory.shape()[0], max_len), {}};
+  if (cross_) cache.cross = cross_attn_->project_memory(memory);
+  return cache;
+}
+
+Variable TransformerBlock::decode_step(const Variable& x, DecodeCache& cache) const {
+  Variable y = ln1_.forward(autograd::add(x, self_attn_.forward_step(x, cache.self, true)));
+  if (cross_)
+    y = ln2_.forward(autograd::add(y, cross_attn_->forward_step(y, cache.cross, false)));
+  return feed_forward(y);
 }
 
 TransformerModel::TransformerModel(const Config& config, tensor::Rng& rng)
@@ -73,7 +93,6 @@ Variable TransformerModel::embed(const std::vector<TokenSeq>& batch) {
   if (batch.empty()) throw std::invalid_argument("TransformerModel: empty batch");
   const std::int64_t b = static_cast<std::int64_t>(batch.size());
   const std::int64_t t = static_cast<std::int64_t>(batch[0].size());
-  if (t > config_.max_len) throw std::invalid_argument("TransformerModel: sequence too long");
   std::vector<std::int64_t> flat;
   flat.reserve(static_cast<std::size_t>(b * t));
   for (const auto& seq : batch) {
@@ -81,12 +100,20 @@ Variable TransformerModel::embed(const std::vector<TokenSeq>& batch) {
       throw std::invalid_argument("TransformerModel: ragged batch (bucket by length)");
     flat.insert(flat.end(), seq.begin(), seq.end());
   }
+  return embed(flat, b, t, 0);
+}
+
+Variable TransformerModel::embed(const std::vector<std::int64_t>& flat, std::int64_t b,
+                                 std::int64_t t, std::int64_t pos0) {
+  if (b == 0) throw std::invalid_argument("TransformerModel: empty batch");
+  if (pos0 + t > config_.max_len)
+    throw std::invalid_argument("TransformerModel: sequence too long");
   Variable emb = embedding_.forward(flat);  // [b*t, D]
   emb = autograd::mul_scalar(emb, std::sqrt(static_cast<float>(config_.model_dim)));
   // Add positional encodings: build [b*t, D] constant.
   Tensor pos({b * t, config_.model_dim});
   for (std::int64_t r = 0; r < b * t; ++r) {
-    const std::int64_t p = r % t;
+    const std::int64_t p = pos0 + r % t;
     std::copy(positional_.data() + p * config_.model_dim,
               positional_.data() + (p + 1) * config_.model_dim,
               pos.data() + r * config_.model_dim);
@@ -107,48 +134,64 @@ Variable TransformerModel::decode(const std::vector<TokenSeq>& tgt_in, const Var
   return out_.forward(autograd::reshape(x, {b * t, config_.model_dim}));
 }
 
+TransformerModel::DecodeState TransformerModel::start_decode(const Variable& memory,
+                                                             std::int64_t max_len) const {
+  DecodeState state;
+  for (const auto& block : decoder_) state.blocks.push_back(block->start_decode(memory, max_len));
+  return state;
+}
+
+Variable TransformerModel::decode_step(const std::vector<std::int64_t>& tokens,
+                                       DecodeState& state) {
+  const std::int64_t b = static_cast<std::int64_t>(tokens.size());
+  Variable x = embed(tokens, b, 1, state.position);
+  for (std::size_t i = 0; i < decoder_.size(); ++i)
+    x = decoder_[i]->decode_step(x, state.blocks[i]);
+  ++state.position;
+  return out_.forward(autograd::reshape(x, {b, config_.model_dim}));
+}
+
 std::vector<TokenSeq> TransformerModel::greedy_translate(const std::vector<TokenSeq>& src,
                                                          std::int64_t max_len) {
+  autograd::NoGradGuard no_grad;
   Variable memory = encode(src);
-  const std::int64_t b = static_cast<std::int64_t>(src.size());
-  std::vector<TokenSeq> generated(static_cast<std::size_t>(b), TokenSeq{data::kBos});
-  std::vector<bool> done(static_cast<std::size_t>(b), false);
+  const std::size_t b = src.size();
+  // Positions past config_.max_len throw in embed(), at the step that needs them.
+  DecodeState state =
+      start_decode(memory, std::max<std::int64_t>(0, std::min(max_len, config_.max_len)));
+  std::vector<TokenSeq> generated(b);
+  std::vector<std::int64_t> fed(b, data::kBos);
+  std::vector<bool> done(b, false);
   for (std::int64_t step = 0; step < max_len; ++step) {
-    Variable logits = decode(generated, memory);  // [b*(step+1), vocab]
-    const std::int64_t t = step + 1;
+    const Variable logits = decode_step(fed, state);  // [b, vocab]
     bool all_done = true;
-    for (std::int64_t i = 0; i < b; ++i) {
-      if (done[static_cast<std::size_t>(i)]) {
-        generated[static_cast<std::size_t>(i)].push_back(data::kPad);
+    for (std::size_t i = 0; i < b; ++i) {
+      if (done[i]) {
+        fed[i] = data::kPad;
         continue;
       }
-      // Logits row for the last position of sequence i.
-      const std::int64_t row = i * t + (t - 1);
-      const float* rp = logits.value().data() + row * config_.vocab;
+      const float* rp = logits.value().data() + static_cast<std::int64_t>(i) * config_.vocab;
       std::int64_t best = 0;
       for (std::int64_t v = 1; v < config_.vocab; ++v)
         if (rp[v] > rp[best]) best = v;
-      generated[static_cast<std::size_t>(i)].push_back(best);
+      generated[i].push_back(best);
+      fed[i] = best;
       if (best == data::kEos) {
-        done[static_cast<std::size_t>(i)] = true;
+        done[i] = true;
       } else {
         all_done = false;
       }
     }
     if (all_done) break;
   }
-  // Trim BOS / EOS / PAD.
-  std::vector<TokenSeq> out;
-  out.reserve(generated.size());
+  // Trim at the first EOS / PAD.
   for (auto& g : generated) {
-    TokenSeq t;
-    for (std::size_t i = 1; i < g.size(); ++i) {
-      if (g[i] == data::kEos || g[i] == data::kPad) break;
-      t.push_back(g[i]);
-    }
-    out.push_back(std::move(t));
+    const auto end = std::find_if(g.begin(), g.end(), [](std::int64_t tok) {
+      return tok == data::kEos || tok == data::kPad;
+    });
+    g.erase(end, g.end());
   }
-  return out;
+  return generated;
 }
 
 TransformerWorkload::TransformerWorkload(Config config) : config_(std::move(config)), rng_(1) {

@@ -20,7 +20,24 @@ class TransformerBlock : public nn::Module {
   /// x: [B, T, D]; memory: encoder output [B, S, D] (required iff cross).
   autograd::Variable forward(const autograd::Variable& x, const autograd::Variable* memory);
 
+  /// Incremental-decode state of one causal block: its self-attention
+  /// keys/values so far and the cross-attention keys/values of the memory.
+  struct DecodeCache {
+    nn::MultiHeadAttention::KvCache self;
+    nn::MultiHeadAttention::KvCache cross;
+  };
+  /// Fresh state for up to `max_len` positions over encoder output `memory`
+  /// [B, S, D]; the cross-attention keys/values are projected here, once.
+  DecodeCache start_decode(const autograd::Variable& memory, std::int64_t max_len) const;
+  /// One position, inference only: x [B, 1, D] -> [B, 1, D], bitwise the
+  /// last row of forward() over the whole prefix fed so far.
+  autograd::Variable decode_step(const autograd::Variable& x, DecodeCache& cache) const;
+
  private:
+  /// Post-attention half shared by forward and decode_step: the position-wise
+  /// FFN inside the ln3 residual. y: [B, T, D].
+  autograd::Variable feed_forward(const autograd::Variable& y) const;
+
   bool causal_;
   bool cross_;
   nn::MultiHeadAttention self_attn_;
@@ -49,7 +66,22 @@ class TransformerModel : public nn::Module {
   /// Decoder with teacher forcing: tgt_in [B][T] -> logits [B*T, vocab].
   autograd::Variable decode(const std::vector<data::TokenSeq>& tgt_in,
                             const autograd::Variable& memory);
-  /// Greedy decode; returns output tokens (EOS trimmed) per sequence.
+  /// KV-cached incremental decode over one encoded batch (see decode_step).
+  struct DecodeState {
+    std::vector<TransformerBlock::DecodeCache> blocks;  ///< one per decoder block
+    std::int64_t position = 0;                          ///< next position to feed
+  };
+  /// Begins a decode of up to `max_len` positions over encoder output
+  /// `memory`; each block's cross-attention keys/values are projected once.
+  DecodeState start_decode(const autograd::Variable& memory, std::int64_t max_len) const;
+  /// Feeds one token per sequence at the next position and returns that
+  /// position's logits [B, vocab] — bitwise the last-position rows of
+  /// decode() over the whole prefix fed so far. Inference only.
+  autograd::Variable decode_step(const std::vector<std::int64_t>& tokens, DecodeState& state);
+  /// Greedy decode of up to `max_len` tokens, one decode_step per position
+  /// under a NoGradGuard. Rows that emitted EOS are fed PAD until every row
+  /// is done. Returns output tokens (trimmed at the first EOS/PAD) per
+  /// sequence.
   std::vector<data::TokenSeq> greedy_translate(const std::vector<data::TokenSeq>& src,
                                                std::int64_t max_len);
 
@@ -57,6 +89,9 @@ class TransformerModel : public nn::Module {
 
  private:
   autograd::Variable embed(const std::vector<data::TokenSeq>& batch);
+  /// `flat` holds b rows of t tokens at positions [pos0, pos0 + t) -> [b, t, D].
+  autograd::Variable embed(const std::vector<std::int64_t>& flat, std::int64_t b,
+                           std::int64_t t, std::int64_t pos0);
 
   Config config_;
   nn::Embedding embedding_;

@@ -148,9 +148,11 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
 
   // When backward will need dW, keep this forward's patch slabs alive so the
   // dW pass reads them instead of re-running im2col per sample. An op whose
-  // slab would push the global live total past the cap just runs uncached.
+  // slab would push the global live total past the cap just runs uncached,
+  // and so does every op under a NoGradGuard: no backward will run.
   std::shared_ptr<PackCache> cache;
-  if (weight.requires_grad() && g_pack_cache_enabled.load(std::memory_order_relaxed)) {
+  if (weight.requires_grad() && autograd::grad_enabled() &&
+      g_pack_cache_enabled.load(std::memory_order_relaxed)) {
     const std::int64_t bytes =
         d.n * col_rows * col_cols * static_cast<std::int64_t>(sizeof(float));
     if (g_pack_cache_live.load(std::memory_order_relaxed) + bytes <=

@@ -1,7 +1,11 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "parallel/parallel_for.h"
+#include "tensor/gemm.h"
 
 namespace mlperf::nn {
 
@@ -341,6 +345,15 @@ MultiHeadAttention::MultiHeadAttention(std::int64_t model_dim_, std::int64_t hea
   register_module("wo", wo);
 }
 
+Variable MultiHeadAttention::project_heads(const Linear& w, const Variable& x) const {
+  using namespace autograd;
+  const std::int64_t b = x.shape()[0], t = x.shape()[1], dh = model_dim / heads;
+  Variable proj = w.forward(reshape(x, {b * t, model_dim}));
+  // [B, T, H, Dh] -> [B, H, T, Dh] -> [B*H, T, Dh]
+  Variable shaped = reshape(proj, {b, t, heads, dh});
+  return reshape(permute(shaped, {0, 2, 1, 3}), {b * heads, t, dh});
+}
+
 Variable MultiHeadAttention::forward(const Variable& q_in, const Variable& k_in,
                                      const Variable& v_in, bool causal) const {
   using namespace autograd;
@@ -349,17 +362,9 @@ Variable MultiHeadAttention::forward(const Variable& q_in, const Variable& k_in,
   const std::int64_t tk = k_in.shape()[1];
   const std::int64_t dh = model_dim / heads;
 
-  auto project = [&](const Linear& w, const Variable& x, std::int64_t t) {
-    Variable flat = reshape(x, {b * t, model_dim});
-    Variable proj = w.forward(flat);
-    // [B, T, H, Dh] -> [B, H, T, Dh] -> [B*H, T, Dh]
-    Variable shaped = reshape(proj, {b, t, heads, dh});
-    return reshape(permute(shaped, {0, 2, 1, 3}), {b * heads, t, dh});
-  };
-
-  Variable q = project(wq, q_in, tq);
-  Variable k = project(wk, k_in, tk);
-  Variable v = project(wv, v_in, tk);
+  Variable q = project_heads(wq, q_in);
+  Variable k = project_heads(wk, k_in);
+  Variable v = project_heads(wv, v_in);
 
   Variable scores = bmm(q, k, tensor::Trans::N, tensor::Trans::T);
   // One fused node for scale -> causal mask -> softmax (bitwise the old
@@ -378,6 +383,74 @@ Variable MultiHeadAttention::forward(const Variable& q_in, const Variable& k_in,
   Variable merged = reshape(permute(reshape(ctx, {b, heads, tq, dh}), {0, 2, 1, 3}),
                             {b * tq, model_dim});
   return reshape(wo.forward(merged), {b, tq, model_dim});
+}
+
+MultiHeadAttention::KvCache MultiHeadAttention::empty_cache(std::int64_t batch,
+                                                            std::int64_t max_len) const {
+  const std::int64_t dh = model_dim / heads;
+  // Rows are written by forward_step's appends before anything reads them.
+  return {Tensor::uninitialized({batch * heads, max_len, dh}),
+          Tensor::uninitialized({batch * heads, max_len, dh}), 0};
+}
+
+MultiHeadAttention::KvCache MultiHeadAttention::project_memory(const Variable& memory) const {
+  const std::int64_t s = memory.shape()[1];
+  return {std::move(project_heads(wk, memory).mutable_value()),
+          std::move(project_heads(wv, memory).mutable_value()), s};
+}
+
+// Why the step is bitwise the full-prefix row: every GEMM below (and in the
+// projections) folds each output element over k in ascending order with one
+// accumulator whatever M is, so a 1-row product equals the matching row of
+// the [T]-row product. A causal full forward's row i sees keys j > i only
+// through mask -1e9, whose exp underflows to exactly 0 — the softmax
+// denominator and the attn·V fold only gain +0 terms. (Dropping the zero
+// mask entries only flips the sign of zero scores, which exp() ignores.)
+Variable MultiHeadAttention::forward_step(const Variable& x, KvCache& cache, bool append) const {
+  const std::int64_t b = x.shape()[0];
+  if (x.value().ndim() != 3 || x.shape()[1] != 1 || x.shape()[2] != model_dim)
+    throw std::invalid_argument("MultiHeadAttention::forward_step: x must be [B, 1, D]");
+  const std::int64_t dh = model_dim / heads;
+  const std::int64_t bh = b * heads;
+  const std::int64_t max_len = cache.k.shape()[1];
+  if (cache.k.shape()[0] != bh)
+    throw std::invalid_argument("MultiHeadAttention::forward_step: cache batch mismatch");
+  // With one position per sequence the [B, 1, H, Dh] -> [B*H, 1, Dh] head
+  // split is a pure reshape: head i's row starts at i*Dh of the [B, D] GEMM.
+  const Variable flat = autograd::reshape(x, {b, model_dim});
+  const Variable qv = wq.forward(flat);
+  const float* q = qv.value().data();
+  if (append) {
+    if (cache.length >= max_len)
+      throw std::invalid_argument("MultiHeadAttention::forward_step: cache full");
+    const Variable kv = wk.forward(flat);
+    const Variable vv = wv.forward(flat);
+    for (std::int64_t i = 0; i < bh; ++i) {
+      const std::int64_t dst = (i * max_len + cache.length) * dh;
+      std::copy_n(kv.value().data() + i * dh, dh, cache.k.data() + dst);
+      std::copy_n(vv.value().data() + i * dh, dh, cache.v.data() + dst);
+    }
+    ++cache.length;
+  }
+  const std::int64_t len = cache.length;
+  Tensor scores({bh, 1, len});
+  const std::int64_t grain = parallel::grain_for(len * dh);
+  parallel::parallel_for(grain, bh, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i)
+      tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, 1, len, dh, q + i * dh, dh,
+                              cache.k.data() + i * max_len * dh, dh, scores.data() + i * len,
+                              len);
+  });
+  const Variable attn = fused_scaled_softmax(
+      Variable(std::move(scores)), 1.0f / std::sqrt(static_cast<float>(dh)), Tensor());
+  Tensor ctx({b, model_dim});  // [B*H, 1, Dh] merged back to [B, D] is a reshape too
+  parallel::parallel_for(grain, bh, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i)
+      tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, 1, dh, len,
+                              attn.value().data() + i * len, len,
+                              cache.v.data() + i * max_len * dh, dh, ctx.data() + i * dh, dh);
+  });
+  return autograd::reshape(wo.forward(Variable(std::move(ctx))), {b, 1, model_dim});
 }
 
 }  // namespace mlperf::nn

@@ -131,9 +131,34 @@ class MultiHeadAttention : public Module {
   autograd::Variable forward(const autograd::Variable& q, const autograd::Variable& k,
                              const autograd::Variable& v, bool causal = false) const;
 
+  /// Projected keys/values for incremental (one query position at a time)
+  /// inference. Rows [0, length) of each [max_len, Dh] head slab are filled.
+  struct KvCache {
+    tensor::Tensor k;  ///< [B*H, max_len, Dh]
+    tensor::Tensor v;  ///< [B*H, max_len, Dh]
+    std::int64_t length = 0;
+  };
+  /// An empty cache with room for `max_len` self-attention positions.
+  KvCache empty_cache(std::int64_t batch, std::int64_t max_len) const;
+  /// A full cache of `memory` [B, S, D] projected through wk/wv — the
+  /// cross-attention keys/values, computed once for a whole decode.
+  KvCache project_memory(const autograd::Variable& memory) const;
+  /// Cached single-position step, inference only (the attention core records
+  /// no tape). x: [B, 1, D]. If `append`, x's own key and value are projected
+  /// and appended to `cache` first (self-attention). The query then attends
+  /// over every cached position. Bitwise equal to row `cache.length - 1` of
+  /// causal forward(xs, xs, xs) over the whole prefix when appending, and to
+  /// forward(x, memory, memory) over a project_memory cache otherwise.
+  autograd::Variable forward_step(const autograd::Variable& x, KvCache& cache,
+                                  bool append) const;
+
   std::int64_t model_dim;
   std::int64_t heads;
   Linear wq, wk, wv, wo;
+
+ private:
+  /// x [B, T, D] through `w`, split into heads: [B*H, T, Dh].
+  autograd::Variable project_heads(const Linear& w, const autograd::Variable& x) const;
 };
 
 }  // namespace mlperf::nn

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 #include "checkpoint/state.h"
 #include "nn/functional.h"
@@ -358,6 +359,76 @@ TEST(ConvPackCache, CachedAndUncachedTrainingBitwiseIdentical) {
     EXPECT_EQ(want, conv_train_fingerprint(false, threads)) << "uncached, t=" << threads;
     EXPECT_EQ(want, conv_train_fingerprint(true, threads)) << "cached, t=" << threads;
   }
+}
+
+// ---- NoGradGuard ---------------------------------------------------------------
+
+TEST(NoGrad, OpsUnderGuardRecordNoTape) {
+  Rng rng(91);
+  Variable a(Tensor::randn({3, 4}, rng), true);
+  Variable b(Tensor::randn({4}, rng), true);
+  const Variable taped = relu(mul(add(a, b), a));
+  ASSERT_TRUE(taped.requires_grad());
+  ASSERT_FALSE(taped.node()->parents.empty());
+  {
+    NoGradGuard no_grad;
+    EXPECT_FALSE(grad_enabled());
+    const Variable y = relu(mul(add(a, b), a));
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+    EXPECT_FALSE(static_cast<bool>(y.node()->backward_fn));
+    // Same kernels either way: the value is bitwise the taped one.
+    EXPECT_EQ(0, std::memcmp(y.value().data(), taped.value().data(),
+                             static_cast<std::size_t>(y.numel()) * sizeof(float)));
+  }
+  EXPECT_TRUE(grad_enabled());
+  const Variable after = add(a, b);
+  EXPECT_TRUE(after.requires_grad());
+  EXPECT_EQ(2u, after.node()->parents.size());
+}
+
+TEST(NoGrad, GuardsNestAndRestore) {
+  EXPECT_TRUE(grad_enabled());
+  {
+    NoGradGuard outer;
+    EXPECT_FALSE(grad_enabled());
+    {
+      NoGradGuard inner;
+      EXPECT_FALSE(grad_enabled());
+    }
+    EXPECT_FALSE(grad_enabled()) << "inner guard must restore the outer's mode";
+  }
+  EXPECT_TRUE(grad_enabled());
+}
+
+TEST(NoGrad, ModeIsPerThread) {
+  NoGradGuard no_grad;
+  bool other_enabled = false, other_taped = false;
+  std::thread t([&] {
+    other_enabled = grad_enabled();
+    Variable a(Tensor({2}, 1.0f), true);
+    other_taped = mul_scalar(a, 2.0f).requires_grad();
+  });
+  t.join();
+  EXPECT_TRUE(other_enabled);
+  EXPECT_TRUE(other_taped);
+  EXPECT_FALSE(grad_enabled());
+}
+
+TEST(NoGrad, ConvForwardKeepsNoPackCache) {
+  Rng rng(92);
+  const Variable x(Tensor::randn({2, 3, 8, 8}, rng));
+  const Variable w(Tensor::randn({4, 3, 3, 3}, rng), true);
+  nn::set_conv_pack_cache(true);
+  {
+    const Variable taped = nn::conv2d(x, w, Variable(), 1, 1);
+    EXPECT_GT(nn::conv_pack_cache_live_bytes(), 0) << "taped forward caches its slabs";
+  }
+  EXPECT_EQ(0, nn::conv_pack_cache_live_bytes());
+  NoGradGuard no_grad;
+  const Variable y = nn::conv2d(x, w, Variable(), 1, 1);
+  EXPECT_EQ(0, nn::conv_pack_cache_live_bytes());
+  EXPECT_FALSE(y.requires_grad());
 }
 
 }  // namespace

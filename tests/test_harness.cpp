@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "autograd/variable.h"
 #include "core/review.h"
 #include "harness/reference.h"
 
@@ -201,6 +203,26 @@ TEST(Registry, BuildsAllSevenReferenceWorkloads) {
     EXPECT_GT(w->global_batch_size(), 0);
     EXPECT_FALSE(w->optimizer_name().empty());
     EXPECT_FALSE(w->hyperparameters().empty());
+  }
+}
+
+// run_to_target evaluates under a NoGradGuard; the guard may drop the tape
+// but must not change a single bit of any workload's quality.
+TEST(Registry, EvaluateIsBitwiseIdenticalUnderNoGradGuard) {
+  const auto suite = core::suite_v05();
+  for (const auto& spec : suite.benchmarks) {
+    auto w = make_reference_workload(spec.id, WorkloadScale::kSmoke);
+    w->prepare_data();
+    w->build_model(42);
+    w->train_epoch();
+    const double taped = w->evaluate();
+    double tape_free;
+    {
+      autograd::NoGradGuard no_grad;
+      tape_free = w->evaluate();
+    }
+    EXPECT_EQ(0, std::memcmp(&taped, &tape_free, sizeof taped))
+        << spec.name << ": " << taped << " vs " << tape_free;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "models/gnmt.h"
@@ -9,6 +11,7 @@
 #include "models/resnet.h"
 #include "models/ssd.h"
 #include "models/transformer.h"
+#include "parallel/parallel_for.h"
 
 namespace mlperf::models {
 namespace {
@@ -307,6 +310,130 @@ TEST(Transformer, TrainingStepReducesLoss) {
   const double before = w.evaluate();
   for (int e = 0; e < 12; ++e) w.train_epoch();
   EXPECT_GE(w.evaluate(), before);  // BLEU should not regress from ~0
+}
+
+// ---- Transformer incremental decode ---------------------------------------------
+
+namespace decode_oracle {
+
+// The full-prefix greedy decode: re-runs decode() over the whole generated
+// prefix at every position and reads each sequence's last row — O(T^2)
+// decoder rows per sentence. It lives only here, as the reference the
+// KV-cached greedy_translate must reproduce bit for bit.
+struct Trace {
+  std::vector<std::vector<std::int64_t>> fed;  ///< tokens fed at each step
+  std::vector<Tensor> logits;                  ///< [B, vocab] last-position rows per step
+  std::vector<data::TokenSeq> out;             ///< trimmed at the first EOS/PAD
+  bool pad_fed = false;                        ///< some finished row was fed PAD
+};
+
+Trace full_prefix_greedy(TransformerModel& model, const std::vector<data::TokenSeq>& src,
+                         std::int64_t max_len) {
+  const std::int64_t vocab = model.config().vocab;
+  const Variable memory = model.encode(src);
+  const auto b = static_cast<std::int64_t>(src.size());
+  std::vector<data::TokenSeq> generated(src.size(), data::TokenSeq{data::kBos});
+  std::vector<bool> done(src.size(), false);
+  Trace trace;
+  for (std::int64_t step = 0; step < max_len; ++step) {
+    std::vector<std::int64_t> fed;
+    for (const auto& g : generated) fed.push_back(g.back());
+    trace.fed.push_back(fed);
+    const Variable logits = model.decode(generated, memory);  // [b*t, vocab]
+    const std::int64_t t = step + 1;
+    Tensor last({b, vocab});
+    for (std::int64_t i = 0; i < b; ++i)
+      std::copy_n(logits.value().data() + (i * t + t - 1) * vocab, vocab,
+                  last.data() + i * vocab);
+    trace.logits.push_back(last);
+    bool all_done = true;
+    for (std::int64_t i = 0; i < b; ++i) {
+      auto& g = generated[static_cast<std::size_t>(i)];
+      if (done[static_cast<std::size_t>(i)]) {
+        g.push_back(data::kPad);
+        trace.pad_fed = trace.pad_fed || step + 1 < max_len;
+        continue;
+      }
+      const float* rp = last.data() + i * vocab;
+      std::int64_t best = 0;
+      for (std::int64_t v = 1; v < vocab; ++v)
+        if (rp[v] > rp[best]) best = v;
+      g.push_back(best);
+      if (best == data::kEos) {
+        done[static_cast<std::size_t>(i)] = true;
+      } else {
+        all_done = false;
+      }
+    }
+    if (all_done) break;
+  }
+  for (const auto& g : generated) {
+    data::TokenSeq t;
+    for (std::size_t i = 1; i < g.size() && g[i] != data::kEos && g[i] != data::kPad; ++i)
+      t.push_back(g[i]);
+    trace.out.push_back(std::move(t));
+  }
+  return trace;
+}
+
+}  // namespace decode_oracle
+
+// KV-cached decode_step/greedy_translate against the full-prefix oracle:
+// logits at every step by memcmp, emitted tokens (rows that finished early
+// are fed PAD), B in {1, 3, 16}, source lengths up to max_len, 1 and 4
+// threads. The EOS logit is biased so rows finish at different steps.
+TEST(Transformer, IncrementalDecodeMatchesFullPrefixOracleBitwise) {
+  TransformerModel::Config cfg;
+  Rng rng(17);
+  TransformerModel model(cfg, rng);
+  for (auto& [name, p] : model.named_parameters())
+    if (name == "out.bias") p.mutable_value()[data::kEos] = 1.5f;
+  bool saw_pad_fed = false, saw_full_length = false;
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    Rng data_rng(18);
+    for (std::int64_t b : {1, 3, 16}) {
+      for (std::int64_t len : {std::int64_t{1}, std::int64_t{5}, cfg.max_len}) {
+        std::vector<data::TokenSeq> src(static_cast<std::size_t>(b));
+        for (auto& seq : src)
+          for (std::int64_t k = 0; k < len; ++k)
+            seq.push_back(data::kFirstWord + static_cast<std::int64_t>(data_rng.randint(
+                static_cast<std::uint64_t>(cfg.vocab - data::kFirstWord))));
+        const decode_oracle::Trace want =
+            decode_oracle::full_prefix_greedy(model, src, cfg.max_len);
+        saw_pad_fed = saw_pad_fed || want.pad_fed;
+        saw_full_length = saw_full_length || want.fed.size() == std::size_t(cfg.max_len);
+
+        EXPECT_EQ(model.greedy_translate(src, cfg.max_len), want.out)
+            << "B=" << b << " len=" << len << " threads=" << threads;
+
+        autograd::NoGradGuard no_grad;
+        TransformerModel::DecodeState state = model.start_decode(model.encode(src), cfg.max_len);
+        for (std::size_t step = 0; step < want.fed.size(); ++step) {
+          const Tensor got = model.decode_step(want.fed[step], state).value();
+          ASSERT_EQ(got.shape(), want.logits[step].shape());
+          EXPECT_EQ(0, std::memcmp(got.data(), want.logits[step].data(),
+                                   static_cast<std::size_t>(got.numel()) * sizeof(float)))
+              << "B=" << b << " len=" << len << " threads=" << threads << " step=" << step;
+        }
+      }
+    }
+  }
+  parallel::set_num_threads(1);
+  EXPECT_TRUE(saw_pad_fed) << "no row finished early: the PAD-feeding path went unchecked";
+  EXPECT_TRUE(saw_full_length) << "no decode ran to max_len";
+}
+
+TEST(Transformer, DecodeStepPastMaxLenThrows) {
+  TransformerModel::Config cfg;
+  cfg.max_len = 3;
+  Rng rng(19);
+  TransformerModel model(cfg, rng);
+  autograd::NoGradGuard no_grad;
+  TransformerModel::DecodeState state = model.start_decode(model.encode({{3, 4}}), cfg.max_len);
+  for (std::int64_t step = 0; step < cfg.max_len; ++step)
+    EXPECT_EQ(model.decode_step({data::kBos}, state).value().shape(), (Shape{1, cfg.vocab}));
+  EXPECT_THROW(model.decode_step({data::kBos}, state), std::invalid_argument);
 }
 
 // ---- GNMT ---------------------------------------------------------------------------

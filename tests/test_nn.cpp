@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -455,6 +456,78 @@ TEST(Attention, NonCausalSeesEverything) {
   float diff = 0.0f;
   for (std::int64_t j = 0; j < 4; ++j) diff += std::fabs(oa.value()[j] - ob.value()[j]);
   EXPECT_GT(diff, 1e-4f);
+}
+
+namespace attention_step_detail {
+
+// Positions [begin, end) of x [B, T, D] as a [B, end - begin, D] tensor.
+Tensor positions(const Tensor& x, std::int64_t begin, std::int64_t end) {
+  const std::int64_t b = x.shape()[0], t = x.shape()[1], d = x.shape()[2];
+  Tensor out({b, end - begin, d});
+  for (std::int64_t i = 0; i < b; ++i)
+    std::copy(x.data() + (i * t + begin) * d, x.data() + (i * t + end) * d,
+              out.data() + i * (end - begin) * d);
+  return out;
+}
+
+// Row `row` of every sequence in a [B, T, D] result equals `step` [B, 1, D].
+void expect_rows_same_bits(const Tensor& step, const Tensor& full, std::int64_t row) {
+  const std::int64_t b = full.shape()[0], t = full.shape()[1], d = full.shape()[2];
+  ASSERT_EQ(step.shape(), (Shape{b, 1, d}));
+  for (std::int64_t i = 0; i < b; ++i)
+    EXPECT_EQ(0, std::memcmp(step.data() + i * d, full.data() + (i * t + row) * d,
+                             static_cast<std::size_t>(d) * sizeof(float)))
+        << "sequence " << i << " row " << row;
+}
+
+}  // namespace attention_step_detail
+
+// The KV-cached step is the incremental-decode primitive: appending position
+// p and attending over the cache must reproduce, bit for bit, the last row
+// of a causal forward over the prefix [0, p].
+TEST(Attention, CachedStepMatchesLastRowOfCausalForwardBitwise) {
+  using namespace attention_step_detail;
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    Rng rng(21);
+    const std::int64_t b = 3, t = 9, d = 16;
+    MultiHeadAttention mha(d, 4, rng);
+    const Tensor x = Tensor::randn({b, t, d}, rng, 0.0f, 2.0f);
+    MultiHeadAttention::KvCache cache = mha.empty_cache(b, t);
+    for (std::int64_t p = 0; p < t; ++p) {
+      const Variable prefix(positions(x, 0, p + 1));
+      const Tensor full = mha.forward(prefix, prefix, prefix, /*causal=*/true).value();
+      const Tensor step =
+          mha.forward_step(Variable(positions(x, p, p + 1)), cache, /*append=*/true).value();
+      EXPECT_EQ(cache.length, p + 1);
+      expect_rows_same_bits(step, full, p);
+    }
+    EXPECT_THROW(mha.forward_step(Variable(positions(x, 0, 1)), cache, true),
+                 std::invalid_argument);  // cache full
+  }
+  parallel::set_num_threads(1);
+}
+
+TEST(Attention, CachedCrossStepMatchesForwardBitwise) {
+  using namespace attention_step_detail;
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    Rng rng(22);
+    const std::int64_t b = 2, t = 5, s = 6, d = 8;
+    MultiHeadAttention mha(d, 2, rng);
+    const Tensor x = Tensor::randn({b, t, d}, rng);
+    const Variable memory(Tensor::randn({b, s, d}, rng));
+    const Tensor full = mha.forward(Variable(x), memory, memory, false).value();
+    MultiHeadAttention::KvCache cache = mha.project_memory(memory);
+    EXPECT_EQ(cache.length, s);
+    for (std::int64_t p = 0; p < t; ++p) {
+      const Tensor step =
+          mha.forward_step(Variable(positions(x, p, p + 1)), cache, /*append=*/false).value();
+      EXPECT_EQ(cache.length, s);
+      expect_rows_same_bits(step, full, p);
+    }
+  }
+  parallel::set_num_threads(1);
 }
 
 TEST(Lstm, CellShapesAndStateEvolution) {
