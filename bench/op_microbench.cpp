@@ -21,6 +21,7 @@
 #include "models/ncf.h"
 #include "models/resnet.h"
 #include "models/transformer.h"
+#include "models/workload.h"
 #include "nn/functional.h"
 #include "nn/layers.h"
 #include "parallel/parallel_for.h"
@@ -302,8 +303,9 @@ static void BM_LstmCell(benchmark::State& state) {
 BENCHMARK(BM_LstmCell);
 
 // --- End-to-end train steps (BENCH_trainstep.json regenerates from these) ---
-// One complete training step per iteration — zero_grad, forward, loss,
-// backward, optimizer update — for three of the suite's reference models.
+// One complete training step per iteration — forward, loss, zero_grad,
+// backward, optimizer update, through the models::train_step the workloads
+// run — for three of the suite's reference models.
 // These are the numbers the tensor-pool / fused-update work moves: the
 // kernels themselves were PR 1/2; what remains per step is the allocation
 // and bookkeeping around them.
@@ -320,11 +322,9 @@ static void BM_TrainStepResnet(benchmark::State& state) {
   for (std::size_t i = 0; i < labels.size(); ++i)
     labels[i] = static_cast<std::int64_t>(i) % cfg.num_classes;
   for (auto _ : state) {
-    opt.zero_grad();
-    auto logits = model.forward(autograd::Variable(images));
-    auto loss = nn::cross_entropy(logits, labels);
-    loss.backward();
-    opt.step(0.01f);
+    auto loss = models::train_step(opt, {.lr = 0.01f}, [&] {
+      return nn::cross_entropy(model.forward(autograd::Variable(images)), labels);
+    });
     benchmark::DoNotOptimize(loss.value().data());
   }
 }
@@ -344,11 +344,9 @@ static void BM_TrainStepNcf(benchmark::State& state) {
     labels.push_back(i % 5 == 0 ? 1.0f : 0.0f);
   }
   for (auto _ : state) {
-    opt.zero_grad();
-    auto logits = model.forward(users, items);
-    auto loss = nn::bce_with_logits(logits, labels);
-    loss.backward();
-    opt.step(0.002f);
+    auto loss = models::train_step(opt, {.lr = 0.002f}, [&] {
+      return nn::bce_with_logits(model.forward(users, items), labels);
+    });
     benchmark::DoNotOptimize(loss.value().data());
   }
 }
@@ -375,12 +373,9 @@ static void BM_TrainStepTransformer(benchmark::State& state) {
     tgt_in.push_back(std::move(t));
   }
   for (auto _ : state) {
-    opt.zero_grad();
-    auto memory = model.encode(src);
-    auto logits = model.decode(tgt_in, memory);
-    auto loss = nn::cross_entropy(logits, targets);
-    loss.backward();
-    opt.step(0.003f);
+    auto loss = models::train_step(opt, {.lr = 0.003f}, [&] {
+      return nn::cross_entropy(model.decode(tgt_in, model.encode(src)), targets);
+    });
     benchmark::DoNotOptimize(loss.value().data());
   }
 }

@@ -58,11 +58,10 @@ class CustomCnnWorkload : public models::Workload {
   void train_epoch() override {
     data::ImageLoader loader(splits_.train, 32, &augment_, rng_);
     while (loader.has_next()) {
-      data::ImageBatch batch = loader.next();
-      autograd::Variable loss = nn::cross_entropy(forward(batch.images), batch.labels);
-      optimizer_->zero_grad();
-      loss.backward();
-      optimizer_->step(2e-3f);
+      models::train_step(*optimizer_, {.lr = 2e-3f}, [&] {
+        data::ImageBatch batch = loader.next();
+        return nn::cross_entropy(forward(batch.images), batch.labels);
+      });
     }
   }
 

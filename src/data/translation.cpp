@@ -61,6 +61,43 @@ SentencePair SyntheticTranslationDataset::make_pair(Rng& rng) const {
   return p;
 }
 
+LengthBuckets length_buckets(const SyntheticTranslationDataset& dataset, Split split) {
+  const bool train = split == Split::kTrain;
+  LengthBuckets buckets(static_cast<std::size_t>(dataset.config().max_len + 1));
+  const std::int64_t n = train ? dataset.train_size() : dataset.val_size();
+  for (std::int64_t i = 0; i < n; ++i)
+    buckets[(train ? dataset.train(i) : dataset.val(i)).source.size()].push_back(i);
+  return buckets;
+}
+
+std::vector<TranslationBatch> shuffled_bucket_batches(const SyntheticTranslationDataset& dataset,
+                                                      LengthBuckets& buckets,
+                                                      std::int64_t batch_size, Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> plan;  // (bucket, offset)
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    rng.shuffle(buckets[b]);
+    for (std::size_t off = 0; off < buckets[b].size(); off += static_cast<std::size_t>(batch_size))
+      plan.emplace_back(b, off);
+  }
+  rng.shuffle(plan);
+  std::vector<TranslationBatch> batches(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const std::vector<std::int64_t>& bucket = buckets[plan[i].first];
+    const std::size_t end =
+        std::min(plan[i].second + static_cast<std::size_t>(batch_size), bucket.size());
+    for (std::size_t k = plan[i].second; k < end; ++k) {
+      const SentencePair& pair = dataset.train(bucket[k]);
+      batches[i].src.push_back(pair.source);
+      TokenSeq in{kBos};
+      in.insert(in.end(), pair.target.begin(), pair.target.end());
+      batches[i].tgt_in.push_back(std::move(in));
+      batches[i].targets.insert(batches[i].targets.end(), pair.target.begin(), pair.target.end());
+      batches[i].targets.push_back(kEos);
+    }
+  }
+  return batches;
+}
+
 std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t* out_len) {
   std::int64_t max_len = 0;
   for (const auto& s : seqs)

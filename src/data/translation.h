@@ -70,6 +70,29 @@ class SyntheticTranslationDataset {
   std::vector<SentencePair> val_;
 };
 
+enum class Split { kTrain, kVal };
+
+/// Pair indices of one split grouped by source length: bucket L lists, in
+/// index order, the pairs whose source has L tokens. Batches drawn from one
+/// bucket are equal-length, which batched encode/decode needs.
+using LengthBuckets = std::vector<std::vector<std::int64_t>>;
+LengthBuckets length_buckets(const SyntheticTranslationDataset& dataset, Split split);
+
+/// One equal-length teacher-forcing batch: sources, decoder inputs (BOS +
+/// target) and the flat next-token targets (each target followed by EOS).
+struct TranslationBatch {
+  std::vector<TokenSeq> src;
+  std::vector<TokenSeq> tgt_in;
+  std::vector<std::int64_t> targets;
+};
+
+/// One epoch of training batches of up to `batch_size` pairs, each drawn from
+/// one of `buckets` (the training split's). Shuffles every bucket in place,
+/// then the order of the batches, all from `rng` in that order.
+std::vector<TranslationBatch> shuffled_bucket_batches(const SyntheticTranslationDataset& dataset,
+                                                      LengthBuckets& buckets,
+                                                      std::int64_t batch_size, tensor::Rng& rng);
+
 /// Pad a batch of sequences to the max length with kPad; returns [B, T] ids.
 std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t* out_len);
 

@@ -31,10 +31,6 @@ GnmtModel::GnmtModel(const Config& config, tensor::Rng& rng)
   register_module("out_context", out_context_);
 }
 
-Variable GnmtModel::embed_step(const std::vector<std::int64_t>& tokens) {
-  return embedding_.forward(tokens);  // [B, E]
-}
-
 std::vector<Variable> GnmtModel::encode(const std::vector<TokenSeq>& src) {
   if (src.empty()) throw std::invalid_argument("GnmtModel: empty batch");
   const std::size_t t_len = src[0].size();
@@ -48,7 +44,7 @@ std::vector<Variable> GnmtModel::encode(const std::vector<TokenSeq>& src) {
         throw std::invalid_argument("GnmtModel: ragged batch (bucket by length)");
       toks.push_back(s[t]);
     }
-    xs.push_back(embed_step(toks));
+    xs.push_back(embedding_.forward(toks));
   }
   return encoder_.forward(xs).hiddens;
 }
@@ -123,7 +119,7 @@ Variable GnmtModel::forward_teacher(const std::vector<TokenSeq>& src,
     std::vector<std::int64_t> toks;
     toks.reserve(tgt_in.size());
     for (const auto& s : tgt_in) toks.push_back(s[t]);
-    Variable inp = concat_features(embed_step(toks), context);
+    Variable inp = concat_features(embedding_.forward(toks), context);
     auto out = decoder_.forward({inp}, states);
     states = out.final_states;
     Variable h = out.hiddens[0];
@@ -150,24 +146,21 @@ std::vector<TokenSeq> GnmtModel::greedy_translate(const std::vector<TokenSeq>& s
   std::vector<TokenSeq> out(static_cast<std::size_t>(b));
   std::vector<bool> done(static_cast<std::size_t>(b), false);
   for (std::int64_t step = 0; step < max_len; ++step) {
-    Variable inp = concat_features(embed_step(current), context);
+    Variable inp = concat_features(embedding_.forward(current), context);
     auto dec = decoder_.forward({inp}, states);
     states = dec.final_states;
     Variable h = dec.hiddens[0];
     context = attend(h, enc);
-    Variable logits = autograd::add(out_hidden_.forward(h), out_context_.forward(context));
+    const std::vector<std::int64_t> best =
+        autograd::add(out_hidden_.forward(h), out_context_.forward(context)).value().argmax_last();
     bool all_done = true;
-    for (std::int64_t i = 0; i < b; ++i) {
-      if (done[static_cast<std::size_t>(i)]) continue;
-      const float* row = logits.value().data() + i * config_.vocab;
-      std::int64_t best = 0;
-      for (std::int64_t v = 1; v < config_.vocab; ++v)
-        if (row[v] > row[best]) best = v;
-      current[static_cast<std::size_t>(i)] = best;
-      if (best == data::kEos) {
-        done[static_cast<std::size_t>(i)] = true;
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      if (done[i]) continue;
+      current[i] = best[i];
+      if (best[i] == data::kEos) {
+        done[i] = true;
       } else {
-        out[static_cast<std::size_t>(i)].push_back(best);
+        out[i].push_back(best[i]);
         all_done = false;
       }
     }
@@ -182,9 +175,7 @@ GnmtWorkload::GnmtWorkload(Config config) : config_(std::move(config)), rng_(1) 
 
 void GnmtWorkload::prepare_data() {
   dataset_ = std::make_unique<data::SyntheticTranslationDataset>(config_.dataset);
-  length_buckets_.assign(static_cast<std::size_t>(config_.dataset.max_len + 1), {});
-  for (std::int64_t i = 0; i < dataset_->train_size(); ++i)
-    length_buckets_[dataset_->train(i).source.size()].push_back(i);
+  length_buckets_ = data::length_buckets(*dataset_, data::Split::kTrain);
 }
 
 void GnmtWorkload::build_model(std::uint64_t seed) {
@@ -196,60 +187,20 @@ void GnmtWorkload::build_model(std::uint64_t seed) {
 
 void GnmtWorkload::train_epoch() {
   if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
-  std::vector<std::pair<std::size_t, std::size_t>> batches;
-  for (std::size_t bkt = 0; bkt < length_buckets_.size(); ++bkt) {
-    rng_.shuffle(length_buckets_[bkt]);
-    for (std::size_t off = 0; off < length_buckets_[bkt].size();
-         off += static_cast<std::size_t>(config_.batch_size))
-      batches.emplace_back(bkt, off);
-  }
-  rng_.shuffle(batches);
-  for (const auto& [bkt, off] : batches) {
-    const auto& bucket = length_buckets_[bkt];
-    const std::size_t end =
-        std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-    std::vector<TokenSeq> src, tgt_in;
-    std::vector<std::int64_t> targets;
-    for (std::size_t k = off; k < end; ++k) {
-      const auto& pair = dataset_->train(bucket[k]);
-      src.push_back(pair.source);
-      TokenSeq in{data::kBos};
-      in.insert(in.end(), pair.target.begin(), pair.target.end());
-      tgt_in.push_back(std::move(in));
-      for (std::int64_t tok : pair.target) targets.push_back(tok);
-      targets.push_back(data::kEos);
-    }
-    Variable logits = model_->forward_teacher(src, tgt_in);
-    Variable loss = nn::cross_entropy(logits, targets);
-    optimizer_->zero_grad();
-    loss.backward();
-    optim::clip_grad_norm(optimizer_->params(), config_.grad_clip_norm);
-    optimizer_->step(config_.lr);
+  for (const data::TranslationBatch& batch :
+       data::shuffled_bucket_batches(*dataset_, length_buckets_, config_.batch_size, rng_)) {
+    train_step(*optimizer_, {.lr = config_.lr, .clip_norm = config_.grad_clip_norm}, [&] {
+      return nn::cross_entropy(model_->forward_teacher(batch.src, batch.tgt_in), batch.targets);
+    });
   }
 }
 
 double GnmtWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
-  std::vector<TokenSeq> hyps, refs;
-  std::vector<std::vector<std::int64_t>> buckets(
-      static_cast<std::size_t>(config_.dataset.max_len + 1));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i)
-    buckets[dataset_->val(i).source.size()].push_back(i);
-  for (const auto& bucket : buckets) {
-    for (std::size_t off = 0; off < bucket.size();
-         off += static_cast<std::size_t>(config_.batch_size)) {
-      const std::size_t end =
-          std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-      std::vector<TokenSeq> src;
-      for (std::size_t k = off; k < end; ++k) src.push_back(dataset_->val(bucket[k]).source);
-      std::vector<TokenSeq> out = model_->greedy_translate(src, config_.dataset.max_len + 2);
-      for (std::size_t k = off; k < end; ++k) {
-        refs.push_back(dataset_->val(bucket[k]).target);
-        hyps.push_back(out[k - off]);
-      }
-    }
-  }
-  return metrics::bleu(hyps, refs);
+  return bleu_by_length(*dataset_, config_.batch_size, config_.dataset.max_len + 2,
+                        [&](const std::vector<TokenSeq>& src, std::int64_t max_len) {
+                          return model_->greedy_translate(src, max_len);
+                        });
 }
 
 std::map<std::string, double> GnmtWorkload::hyperparameters() const {

@@ -40,8 +40,6 @@ class GnmtModel : public nn::Module {
   /// Additive attention: context [B, H] over encoder hiddens given query.
   autograd::Variable attend(const autograd::Variable& query,
                             const std::vector<autograd::Variable>& enc_hiddens);
-  /// Embed one timestep's tokens: [B] ids -> [B, E].
-  autograd::Variable embed_step(const std::vector<std::int64_t>& tokens);
 
   Config config_;
   nn::Embedding embedding_;
@@ -80,7 +78,7 @@ class GnmtWorkload : public Workload {
   std::unique_ptr<GnmtModel> model_;
   std::unique_ptr<optim::Adam> optimizer_;
   tensor::Rng rng_;
-  std::vector<std::vector<std::int64_t>> length_buckets_;
+  data::LengthBuckets length_buckets_;  ///< training split, by source length
 };
 
 }  // namespace mlperf::models

@@ -234,10 +234,9 @@ Tensor paste_mask(const Tensor& soft, const Box& roi, std::int64_t h, std::int64
 }
 }  // namespace
 
-void MaskRcnnWorkload::train_image(const data::DetectionExample& ex) {
-  Tensor batch({1, ex.image.shape()[0], ex.image.shape()[1], ex.image.shape()[2]});
-  std::copy(ex.image.vec().begin(), ex.image.vec().end(), batch.vec().begin());
-  Variable feats = model_->backbone(Variable(batch));
+Variable MaskRcnnWorkload::image_loss(const data::DetectionExample& ex) {
+  Variable feats = model_->backbone(Variable(
+      ex.image.reshape({1, ex.image.shape()[0], ex.image.shape()[1], ex.image.shape()[2]})));
 
   // ---- RPN loss: balanced-sampled objectness BCE + positive box regression.
   MaskRcnnModel::RpnOutput rpn_out = model_->rpn(feats);
@@ -366,9 +365,7 @@ void MaskRcnnWorkload::train_image(const data::DetectionExample& ex) {
     loss = autograd::add(loss, nn::bce_with_logits(mask_logits, mask_targets));
   }
 
-  optimizer_->zero_grad();
-  loss.backward();
-  optimizer_->step(config_.lr);
+  return loss;
 }
 
 void MaskRcnnWorkload::train_epoch() {
@@ -376,15 +373,16 @@ void MaskRcnnWorkload::train_epoch() {
   model_->set_training(true);
   std::vector<std::size_t> order =
       rng_.permutation(static_cast<std::size_t>(dataset_->train_size()));
-  for (std::size_t idx : order) train_image(dataset_->train(static_cast<std::int64_t>(idx)));
+  for (std::size_t idx : order)
+    train_step(*optimizer_, {.lr = config_.lr},
+               [&] { return image_loss(dataset_->train(static_cast<std::int64_t>(idx))); });
 }
 
 std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
                                                          std::int64_t image_id) {
   model_->set_training(false);
-  Tensor batch({1, image.shape()[0], image.shape()[1], image.shape()[2]});
-  std::copy(image.vec().begin(), image.vec().end(), batch.vec().begin());
-  Variable feats = model_->backbone(Variable(batch));
+  Variable feats = model_->backbone(
+      Variable(image.reshape({1, image.shape()[0], image.shape()[1], image.shape()[2]})));
   MaskRcnnModel::RpnOutput rpn_out = model_->rpn(feats);
   std::vector<Box> proposals = model_->decode_proposals(rpn_out);
   model_->set_training(true);
@@ -421,11 +419,6 @@ std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
       roi_idx.push_back(static_cast<std::int64_t>(r));
     }
     for (std::size_t k : nms(boxes, scores, config_.nms_iou)) {
-      metrics::Detection d;
-      d.image_id = image_id;
-      d.cls = cls - 1;
-      d.score = scores[k];
-      d.box = boxes[k];
       // Mask: sigmoid of this class's logits, pasted into the refined box.
       Tensor soft({m, m});
       const std::int64_t r = roi_idx[k];
@@ -433,8 +426,7 @@ std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
         const float logit = mask_logits.value()[((r * (ncls - 1)) + (cls - 1)) * m * m + q];
         soft[q] = 1.0f / (1.0f + std::exp(-logit));
       }
-      d.mask = paste_mask(soft, boxes[k], h, w);
-      all.push_back(std::move(d));
+      all.push_back({image_id, cls - 1, scores[k], boxes[k], paste_mask(soft, boxes[k], h, w)});
     }
   }
   return all;

@@ -106,7 +106,8 @@ class MaskRcnnWorkload : public Workload {
   EvalDetail evaluate_detail();
 
  private:
-  void train_image(const data::DetectionExample& ex);
+  /// One image's summed RPN, box-head and mask-head training loss.
+  autograd::Variable image_loss(const data::DetectionExample& ex);
   std::vector<metrics::Detection> detect(const tensor::Tensor& image, std::int64_t image_id);
 
   Config config_;

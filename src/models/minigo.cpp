@@ -296,36 +296,6 @@ void MiniGoWorkload::build_model(std::uint64_t seed) {
   replay_.clear();
 }
 
-void MiniGoWorkload::train_batch(const std::vector<const SelfPlayExample*>& batch) {
-  const std::int64_t n = static_cast<std::int64_t>(batch.size());
-  const std::int64_t bs = config_.board_size;
-  const std::int64_t num_moves = bs * bs + 1;
-  Tensor planes({n, 3, bs, bs});
-  Tensor pi({n, num_moves});
-  Tensor z({n, 1});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const SelfPlayExample& ex = *batch[static_cast<std::size_t>(i)];
-    std::copy(ex.planes.vec().begin(), ex.planes.vec().end(),
-              planes.vec().begin() + i * 3 * bs * bs);
-    for (std::int64_t m = 0; m < num_moves; ++m)
-      pi[i * num_moves + m] = ex.pi[static_cast<std::size_t>(m)];
-    z[i] = ex.z;
-  }
-  net_->set_training(true);
-  PolicyValueNet::Output out = net_->forward(Variable(planes));
-  // Policy loss: cross-entropy against the full MCTS distribution:
-  // -sum pi * log_softmax(logits), averaged over the batch.
-  Variable logp = autograd::log_softmax_last(out.policy_logits);
-  Variable policy_loss =
-      autograd::mul_scalar(autograd::sum_all(autograd::mul(Variable(pi), logp)),
-                           -1.0f / static_cast<float>(n));
-  Variable value_loss = nn::mse(out.value, z);
-  Variable loss = autograd::add(policy_loss, value_loss);
-  optimizer_->zero_grad();
-  loss.backward();
-  optimizer_->step(config_.lr);
-}
-
 void MiniGoWorkload::train_epoch() {
   if (!net_) throw std::logic_error("MiniGoWorkload: not prepared");
   // 1) Self-play data generation with the current net.
@@ -343,21 +313,35 @@ void MiniGoWorkload::train_epoch() {
   // 2) Gradient steps: batches mix self-play replay with reference-game
   //    positions per config_.reference_mix (see header).
   if (replay_.empty() && reference_examples_.empty()) return;
+  const std::int64_t n = config_.batch_size, bs = config_.board_size, num_moves = bs * bs + 1;
+  net_->set_training(true);
   for (std::int64_t b = 0; b < config_.train_batches_per_epoch; ++b) {
-    std::vector<const SelfPlayExample*> batch;
-    batch.reserve(static_cast<std::size_t>(config_.batch_size));
-    for (std::int64_t i = 0; i < config_.batch_size; ++i) {
+    Tensor planes({n, 3, bs, bs});
+    Tensor pi({n, num_moves});
+    Tensor z({n, 1});
+    for (std::int64_t i = 0; i < n; ++i) {
       const bool from_ref =
           !reference_examples_.empty() &&
           (replay_.empty() || rng_.uniform() < config_.reference_mix);
-      if (from_ref) {
-        batch.push_back(
-            &reference_examples_[static_cast<std::size_t>(rng_.randint(reference_examples_.size()))]);
-      } else {
-        batch.push_back(&replay_[static_cast<std::size_t>(rng_.randint(replay_.size()))]);
-      }
+      const SelfPlayExample& ex =
+          from_ref ? reference_examples_[static_cast<std::size_t>(
+                         rng_.randint(reference_examples_.size()))]
+                   : replay_[static_cast<std::size_t>(rng_.randint(replay_.size()))];
+      std::copy(ex.planes.vec().begin(), ex.planes.vec().end(),
+                planes.vec().begin() + i * 3 * bs * bs);
+      std::copy_n(ex.pi.begin(), num_moves, pi.data() + i * num_moves);
+      z[i] = ex.z;
     }
-    train_batch(batch);
+    train_step(*optimizer_, {.lr = config_.lr}, [&] {
+      PolicyValueNet::Output out = net_->forward(Variable(planes));
+      // Policy loss: cross-entropy against the full MCTS distribution:
+      // -sum pi * log_softmax(logits), averaged over the batch.
+      Variable logp = autograd::log_softmax_last(out.policy_logits);
+      Variable policy_loss =
+          autograd::mul_scalar(autograd::sum_all(autograd::mul(Variable(pi), logp)),
+                               -1.0f / static_cast<float>(n));
+      return autograd::add(policy_loss, nn::mse(out.value, z));
+    });
   }
 }
 

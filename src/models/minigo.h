@@ -158,8 +158,6 @@ class MiniGoWorkload : public Workload {
   PolicyValueNet* net() { return net_.get(); }
 
  private:
-  void train_batch(const std::vector<const SelfPlayExample*>& batch);
-
   Config config_;
   std::vector<go::GameRecord> references_;
   std::vector<SelfPlayExample> reference_examples_;

@@ -69,12 +69,8 @@ void NcfWorkload::train_epoch() {
   std::vector<float> labels;
   auto flush = [&] {
     if (users.empty()) return;
-    autograd::GraphEpoch epoch_scope;  // step-scoped pool instrumentation
-    Variable logits = model_->forward(users, items);
-    Variable loss = nn::bce_with_logits(logits, labels);
-    optimizer_->zero_grad();
-    loss.backward();
-    optimizer_->step(config_.lr);
+    train_step(*optimizer_, {.lr = config_.lr},
+               [&] { return nn::bce_with_logits(model_->forward(users, items), labels); });
     users.clear();
     items.clear();
     labels.clear();

@@ -8,7 +8,6 @@
 namespace mlperf::models {
 
 using autograd::Variable;
-using tensor::Tensor;
 
 BottleneckBlock::BottleneckBlock(std::int64_t in_ch, std::int64_t mid_ch, std::int64_t out_ch,
                                  std::int64_t stride, tensor::Rng& rng)
@@ -116,36 +115,12 @@ void ResNetWorkload::train_epoch() {
     train_loader_->start_epoch();
   }
   data::ImageLoader& loader = *train_loader_;
-  const bool quantized = config_.weight_format != numerics::Format::kFP32;
-  std::vector<autograd::Variable> params = model_->parameters();
   while (loader.has_next()) {
-    // Step-scoped pool instrumentation: after warm-up every buffer this step
-    // allocates should come from the pool (GraphEpoch::last_pool_misses()==0).
-    autograd::GraphEpoch epoch_scope;
-    data::ImageBatch batch = loader.next();
-    // Figure-1 emulation: master weights stay fp32; forward/backward see the
-    // quantized copy, and the update is re-quantized afterwards.
-    std::vector<Tensor> master;
-    if (quantized) {
-      master.reserve(params.size());
-      for (auto& p : params) {
-        master.push_back(p.value());
-        p.mutable_value() = numerics::quantize_tensor(p.value(), config_.weight_format);
-      }
-    }
-    Variable logits = model_->forward(Variable(batch.images));
-    Variable loss = nn::cross_entropy(logits, batch.labels);
-    optimizer_->zero_grad();
-    loss.backward();
-    if (quantized) {
-      for (std::size_t i = 0; i < params.size(); ++i)
-        params[i].mutable_value() = master[i];
-    }
-    optimizer_->step(schedule_->lr(step_));
-    if (quantized) {
-      for (auto& p : params)
-        p.mutable_value() = numerics::quantize_tensor(p.value(), config_.weight_format);
-    }
+    train_step(*optimizer_,
+               {.lr = schedule_->lr(step_), .weights = config_.weight_format}, [&] {
+                 data::ImageBatch batch = loader.next();
+                 return nn::cross_entropy(model_->forward(Variable(batch.images)), batch.labels);
+               });
     ++step_;
   }
   ++epochs_trained_;

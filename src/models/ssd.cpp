@@ -210,9 +210,6 @@ void SsdWorkload::train_epoch() {
     Tensor box_targets({n * num_anchors, 4});
     std::vector<float> pos_weight(static_cast<std::size_t>(n * num_anchors), 0.0f);
 
-    std::vector<std::vector<float>> neg_candidates;  // (filled after forward)
-    std::vector<data::DetectionExample> flipped;
-    flipped.reserve(static_cast<std::size_t>(n));
     for (std::int64_t b = 0; b < n; ++b) {
       data::DetectionExample ex = dataset_->train(static_cast<std::int64_t>(order[off + static_cast<std::size_t>(b)]));
       if (rng_.uniform() < 0.5) {  // horizontal flip, boxes/masks follow
@@ -247,14 +244,12 @@ void SsdWorkload::train_epoch() {
                                        anchors.anchors[static_cast<std::size_t>(a)]);
         for (int k = 0; k < 4; ++k) box_targets[row * 4 + k] = enc[static_cast<std::size_t>(k)];
       }
-      flipped.push_back(std::move(ex));
     }
 
-    SsdModel::Output out = model_->forward(Variable(images));
-
-    // Hard-negative mining (3:1): rank negatives by background log-loss.
-    std::vector<float> cls_weight = pos_weight;
-    {
+    train_step(*optimizer_, {.lr = config_.lr}, [&] {
+      SsdModel::Output out = model_->forward(Variable(images));
+      // Hard-negative mining (3:1): rank negatives by background log-loss.
+      std::vector<float> cls_weight = pos_weight;
       const Tensor logp = out.class_logits.value().log_softmax_last();
       const std::int64_t ncls = logp.shape()[1];
       std::int64_t num_pos = 0;
@@ -274,22 +269,18 @@ void SsdWorkload::train_epoch() {
                                  4));
       for (std::int64_t k = 0; k < num_neg; ++k)
         cls_weight[static_cast<std::size_t>(neg_losses[static_cast<std::size_t>(k)].second)] = 1.0f;
-    }
 
-    Variable cls_loss = nn::weighted_cross_entropy(out.class_logits, cls_targets, cls_weight);
-    Variable box_loss = nn::smooth_l1(out.box_offsets, box_targets, pos_weight);
-    Variable loss = autograd::add(cls_loss, box_loss);
-    optimizer_->zero_grad();
-    loss.backward();
-    optimizer_->step(config_.lr);
+      Variable cls_loss = nn::weighted_cross_entropy(out.class_logits, cls_targets, cls_weight);
+      Variable box_loss = nn::smooth_l1(out.box_offsets, box_targets, pos_weight);
+      return autograd::add(cls_loss, box_loss);
+    });
   }
 }
 
 std::vector<metrics::Detection> SsdWorkload::detect(const Tensor& image, std::int64_t image_id) {
   model_->set_training(false);
-  Tensor batch({1, image.shape()[0], image.shape()[1], image.shape()[2]});
-  std::copy(image.vec().begin(), image.vec().end(), batch.vec().begin());
-  SsdModel::Output out = model_->forward(Variable(batch));
+  SsdModel::Output out = model_->forward(
+      Variable(image.reshape({1, image.shape()[0], image.shape()[1], image.shape()[2]})));
   model_->set_training(true);
   const AnchorSet& anchors = model_->anchors();
   const Tensor probs = out.class_logits.value().softmax_last();
@@ -306,14 +297,8 @@ std::vector<metrics::Detection> SsdWorkload::detect(const Tensor& image, std::in
                                     anchors.anchors[static_cast<std::size_t>(a)]));
       scores.push_back(score);
     }
-    for (std::size_t k : nms(boxes, scores, config_.nms_iou)) {
-      metrics::Detection d;
-      d.image_id = image_id;
-      d.cls = cls - 1;
-      d.score = scores[k];
-      d.box = boxes[k];
-      detections.push_back(std::move(d));
-    }
+    for (std::size_t k : nms(boxes, scores, config_.nms_iou))
+      detections.push_back({image_id, cls - 1, scores[k], boxes[k], {}});
   }
   return detections;
 }

@@ -163,20 +163,16 @@ std::vector<TokenSeq> TransformerModel::greedy_translate(const std::vector<Token
   std::vector<std::int64_t> fed(b, data::kBos);
   std::vector<bool> done(b, false);
   for (std::int64_t step = 0; step < max_len; ++step) {
-    const Variable logits = decode_step(fed, state);  // [b, vocab]
+    const std::vector<std::int64_t> best = decode_step(fed, state).value().argmax_last();
     bool all_done = true;
     for (std::size_t i = 0; i < b; ++i) {
       if (done[i]) {
         fed[i] = data::kPad;
         continue;
       }
-      const float* rp = logits.value().data() + static_cast<std::int64_t>(i) * config_.vocab;
-      std::int64_t best = 0;
-      for (std::int64_t v = 1; v < config_.vocab; ++v)
-        if (rp[v] > rp[best]) best = v;
-      generated[i].push_back(best);
-      fed[i] = best;
-      if (best == data::kEos) {
+      generated[i].push_back(best[i]);
+      fed[i] = best[i];
+      if (best[i] == data::kEos) {
         done[i] = true;
       } else {
         all_done = false;
@@ -201,11 +197,7 @@ TransformerWorkload::TransformerWorkload(Config config) : config_(std::move(conf
 
 void TransformerWorkload::prepare_data() {
   dataset_ = std::make_unique<data::SyntheticTranslationDataset>(config_.dataset);
-  length_buckets_.assign(static_cast<std::size_t>(config_.dataset.max_len + 1), {});
-  for (std::int64_t i = 0; i < dataset_->train_size(); ++i) {
-    const std::size_t len = dataset_->train(i).source.size();
-    length_buckets_[len].push_back(i);
-  }
+  length_buckets_ = data::length_buckets(*dataset_, data::Split::kTrain);
 }
 
 void TransformerWorkload::build_model(std::uint64_t seed) {
@@ -217,67 +209,24 @@ void TransformerWorkload::build_model(std::uint64_t seed) {
 
 void TransformerWorkload::train_epoch() {
   if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
-  // Visit buckets in random order; batches are equal-length by construction.
-  std::vector<std::pair<std::size_t, std::size_t>> batches;  // (bucket, offset)
-  for (std::size_t bkt = 0; bkt < length_buckets_.size(); ++bkt) {
-    rng_.shuffle(length_buckets_[bkt]);
-    for (std::size_t off = 0; off < length_buckets_[bkt].size();
-         off += static_cast<std::size_t>(config_.batch_size))
-      batches.emplace_back(bkt, off);
-  }
-  rng_.shuffle(batches);
-
-  for (const auto& [bkt, off] : batches) {
-    autograd::GraphEpoch epoch_scope;  // step-scoped pool instrumentation
-    const auto& bucket = length_buckets_[bkt];
-    const std::size_t end =
-        std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-    std::vector<TokenSeq> src, tgt_in;
-    std::vector<std::int64_t> targets;
-    for (std::size_t k = off; k < end; ++k) {
-      const auto& pair = dataset_->train(bucket[k]);
-      src.push_back(pair.source);
-      TokenSeq in{data::kBos};
-      in.insert(in.end(), pair.target.begin(), pair.target.end());
-      tgt_in.push_back(std::move(in));
-      for (std::int64_t tok : pair.target) targets.push_back(tok);
-      targets.push_back(data::kEos);
-    }
-    Variable memory = model_->encode(src);
-    Variable logits = model_->decode(tgt_in, memory);
-    Variable loss = config_.label_smoothing > 0.0f
-                        ? nn::smoothed_cross_entropy(logits, targets, config_.label_smoothing)
-                        : nn::cross_entropy(logits, targets);
-    optimizer_->zero_grad();
-    loss.backward();
-    optimizer_->step(config_.lr);
+  for (const data::TranslationBatch& batch :
+       data::shuffled_bucket_batches(*dataset_, length_buckets_, config_.batch_size, rng_)) {
+    train_step(*optimizer_, {.lr = config_.lr}, [&] {
+      Variable memory = model_->encode(batch.src);
+      Variable logits = model_->decode(batch.tgt_in, memory);
+      return config_.label_smoothing > 0.0f
+                 ? nn::smoothed_cross_entropy(logits, batch.targets, config_.label_smoothing)
+                 : nn::cross_entropy(logits, batch.targets);
+    });
   }
 }
 
 double TransformerWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
-  std::vector<TokenSeq> hyps, refs;
-  // Translate per-length groups (batched greedy decode needs equal lengths).
-  std::vector<std::vector<std::int64_t>> buckets(
-      static_cast<std::size_t>(config_.dataset.max_len + 1));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i)
-    buckets[dataset_->val(i).source.size()].push_back(i);
-  for (const auto& bucket : buckets) {
-    for (std::size_t off = 0; off < bucket.size();
-         off += static_cast<std::size_t>(config_.batch_size)) {
-      const std::size_t end =
-          std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-      std::vector<TokenSeq> src;
-      for (std::size_t k = off; k < end; ++k) src.push_back(dataset_->val(bucket[k]).source);
-      std::vector<TokenSeq> out =
-          model_->greedy_translate(src, config_.dataset.max_len + 2);
-      for (std::size_t k = off; k < end; ++k) {
-        refs.push_back(dataset_->val(bucket[k]).target);
-        hyps.push_back(out[k - off]);
-      }
-    }
-  }
-  return metrics::bleu(hyps, refs);
+  return bleu_by_length(*dataset_, config_.batch_size, config_.dataset.max_len + 2,
+                        [&](const std::vector<TokenSeq>& src, std::int64_t max_len) {
+                          return model_->greedy_translate(src, max_len);
+                        });
 }
 
 std::map<std::string, double> TransformerWorkload::hyperparameters() const {

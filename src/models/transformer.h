@@ -130,8 +130,7 @@ class TransformerWorkload : public Workload {
   std::unique_ptr<TransformerModel> model_;
   std::unique_ptr<optim::Adam> optimizer_;
   tensor::Rng rng_;
-  /// Train sentence indices bucketed by source length (equal-length batches).
-  std::vector<std::vector<std::int64_t>> length_buckets_;
+  data::LengthBuckets length_buckets_;  ///< training split, by source length
 };
 
 }  // namespace mlperf::models

@@ -369,6 +369,38 @@ TEST(TranslationData, PadBatchAligns) {
   EXPECT_EQ(padded[2][1], kPad);
 }
 
+TEST(TranslationData, BucketBatchesCoverEveryPairOnceInEqualLengthBatches) {
+  SyntheticTranslationDataset::Config cfg;
+  cfg.train_size = 50;
+  SyntheticTranslationDataset ds(cfg);
+  LengthBuckets buckets = length_buckets(ds, Split::kTrain);
+  ASSERT_EQ(buckets.size(), static_cast<std::size_t>(cfg.max_len + 1));
+  Rng rng(3);
+  const std::int64_t batch_size = 4;
+  std::multiset<std::int64_t> seen_tokens;
+  std::size_t pairs = 0;
+  for (const TranslationBatch& b : shuffled_bucket_batches(ds, buckets, batch_size, rng)) {
+    ASSERT_FALSE(b.src.empty());
+    ASSERT_LE(b.src.size(), static_cast<std::size_t>(batch_size));
+    ASSERT_EQ(b.tgt_in.size(), b.src.size());
+    std::size_t target_tokens = 0;
+    for (std::size_t i = 0; i < b.src.size(); ++i) {
+      EXPECT_EQ(b.src[i].size(), b.src[0].size());  // equal-length by construction
+      EXPECT_EQ(b.tgt_in[i].front(), kBos);
+      target_tokens += b.tgt_in[i].size();  // target + BOS == target + EOS
+      seen_tokens.insert(b.src[i].begin(), b.src[i].end());
+    }
+    EXPECT_EQ(b.targets.size(), target_tokens);
+    EXPECT_EQ(b.targets.back(), kEos);
+    pairs += b.src.size();
+  }
+  EXPECT_EQ(pairs, static_cast<std::size_t>(ds.train_size()));
+  std::multiset<std::int64_t> all_tokens;
+  for (std::int64_t i = 0; i < ds.train_size(); ++i)
+    all_tokens.insert(ds.train(i).source.begin(), ds.train(i).source.end());
+  EXPECT_EQ(seen_tokens, all_tokens);
+}
+
 TEST(RecsysData, HoldoutDisjointFromTraining) {
   ImplicitCfDataset ds({});
   for (const auto& inter : ds.train_interactions())

@@ -272,5 +272,33 @@ INSTANTIATE_TEST_SUITE_P(FastWorkloads, SmokeEndToEnd,
                          ::testing::Values(BenchmarkId::kRecommendation,
                                            BenchmarkId::kObjectDetectionLight));
 
+// Every reference workload trains bitwise-identically at 1 and 4 intra-op
+// threads, end to end through the harness: same epochs, same quality bits.
+class ThreadCountInvariance : public ::testing::TestWithParam<BenchmarkId> {};
+
+TEST_P(ThreadCountInvariance, SmokeOutcomeFingerprintMatches) {
+  const auto suite = core::suite_v05();
+  const auto& spec = core::find_spec(suite, GetParam());
+  std::uint64_t prints[2];
+  const std::int64_t threads[2] = {4, 1};  // end at 1: later tests inherit it
+  for (int i = 0; i < 2; ++i) {
+    auto w = make_reference_workload(spec.id, WorkloadScale::kSmoke);
+    RunOptions opts;
+    opts.seed = 42;
+    opts.max_epochs = 12;
+    opts.num_threads = threads[i];
+    prints[i] =
+        outcome_fingerprint(run_to_target(*w, scaled_target(spec, WorkloadScale::kSmoke), opts));
+  }
+  EXPECT_EQ(prints[0], prints[1]) << spec.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSevenWorkloads, ThreadCountInvariance,
+    ::testing::Values(BenchmarkId::kImageClassification, BenchmarkId::kObjectDetectionLight,
+                      BenchmarkId::kObjectDetectionHeavy, BenchmarkId::kTranslationRecurrent,
+                      BenchmarkId::kTranslationNonRecurrent, BenchmarkId::kRecommendation,
+                      BenchmarkId::kReinforcementLearning));
+
 }  // namespace
 }  // namespace mlperf::harness

@@ -11,6 +11,9 @@
 #include "models/resnet.h"
 #include "models/ssd.h"
 #include "models/transformer.h"
+#include "models/workload.h"
+#include "nn/functional.h"
+#include "numerics/format.h"
 #include "parallel/parallel_for.h"
 
 namespace mlperf::models {
@@ -684,6 +687,98 @@ TEST(MiniGoWorkload, FixedSeedNondeterminismFlag) {
     return w.evaluate();
   };
   EXPECT_EQ(run(false), run(false));
+}
+
+// ---- train_step -------------------------------------------------------------------
+
+/// A two-layer classifier on a fixed batch: small enough to replay a step by
+/// hand, deep enough that quantized weights change the gradient.
+struct TinyClassifier {
+  explicit TinyClassifier(std::uint64_t seed) : rng(seed), fc1(6, 8, rng), fc2(8, 3, rng) {
+    Rng data_rng(99);
+    x = Tensor::randn({5, 6}, data_rng);
+  }
+  std::vector<Variable> parameters() const {
+    std::vector<Variable> p = fc1.parameters();
+    for (const Variable& q : fc2.parameters()) p.push_back(q);
+    return p;
+  }
+  Variable loss() const {
+    return nn::cross_entropy(fc2.forward(fc1.forward_relu(Variable(x))), {0, 2, 1, 1, 0});
+  }
+
+  Rng rng;
+  nn::Linear fc1, fc2;
+  Tensor x;
+};
+
+bool same_bits(const std::vector<Variable>& a, const std::vector<Variable>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Tensor& x = a[i].value();
+    const Tensor& y = b[i].value();
+    if (x.shape() != y.shape() ||
+        std::memcmp(x.data(), y.data(), static_cast<std::size_t>(x.numel()) * sizeof(float)) != 0)
+      return false;
+  }
+  return true;
+}
+
+TEST(TrainStep, Fp32WithoutClipMatchesHandWrittenStepBitwise) {
+  TinyClassifier a(3), b(3);
+  optim::Adam opt_a(a.parameters()), opt_b(b.parameters());
+  const TinyClassifier init(3);
+  for (int step = 0; step < 4; ++step) {
+    train_step(opt_a, {.lr = 0.01f}, [&] { return a.loss(); });
+    Variable loss = b.loss();
+    opt_b.zero_grad();
+    loss.backward();
+    opt_b.step(0.01f);
+  }
+  EXPECT_TRUE(same_bits(a.parameters(), b.parameters()));
+  EXPECT_FALSE(same_bits(a.parameters(), init.parameters()));  // it trained
+}
+
+TEST(TrainStep, QuantizedWeightsMatchMasterWeightOracleBitwise) {
+  for (const numerics::Format f : {numerics::Format::kFP16, numerics::Format::kBF16,
+                                   numerics::Format::kFP8E4M3, numerics::Format::kTernary}) {
+    TinyClassifier a(4), b(4);
+    optim::SgdMomentum opt_a(a.parameters(), 0.9f, 1e-4f), opt_b(b.parameters(), 0.9f, 1e-4f);
+    for (int step = 0; step < 4; ++step) {
+      train_step(opt_a, {.lr = 0.05f, .weights = f}, [&] { return a.loss(); });
+      // Oracle: the Figure-1 master-weight order ResNetWorkload::train_epoch
+      // used to inline. Forward/backward see the quantized copy, the update
+      // lands on the fp32 masters, and the result is re-quantized.
+      std::vector<Variable> params = b.parameters();
+      std::vector<Tensor> master;
+      for (auto& p : params) {
+        master.push_back(p.value());
+        p.mutable_value() = numerics::quantize_tensor(p.value(), f);
+      }
+      Variable loss = b.loss();
+      opt_b.zero_grad();
+      loss.backward();
+      for (std::size_t i = 0; i < params.size(); ++i) params[i].mutable_value() = master[i];
+      opt_b.step(0.05f);
+      for (auto& p : params) p.mutable_value() = numerics::quantize_tensor(p.value(), f);
+    }
+    EXPECT_TRUE(same_bits(a.parameters(), b.parameters())) << numerics::to_string(f);
+  }
+}
+
+TEST(TrainStep, ClipNormMatchesClipGradNormThenStepBitwise) {
+  TinyClassifier a(5), b(5);
+  optim::Adam opt_a(a.parameters()), opt_b(b.parameters());
+  const float clip = 0.05f;
+  for (int step = 0; step < 4; ++step) {
+    train_step(opt_a, {.lr = 0.01f, .clip_norm = clip}, [&] { return a.loss(); });
+    Variable loss = b.loss();
+    opt_b.zero_grad();
+    loss.backward();
+    EXPECT_GT(optim::clip_grad_norm(opt_b.params(), clip), clip);  // the clip bites
+    opt_b.step(0.01f);
+  }
+  EXPECT_TRUE(same_bits(a.parameters(), b.parameters()));
 }
 
 }  // namespace
