@@ -18,6 +18,20 @@ float iou(const Box& a, const Box& b) {
   return uni > 0.0f ? inter / uni : 0.0f;
 }
 
+void horizontal_flip(DetectionExample& ex) {
+  // Image [C, H, W] and masks [H, W] share the width axis, last: mirroring
+  // reverses every row.
+  const std::int64_t w = ex.image.shape().back();
+  auto mirror_rows = [w](Tensor& t) {
+    for (float* row = t.data(); row != t.data() + t.numel(); row += w) std::reverse(row, row + w);
+  };
+  mirror_rows(ex.image);
+  for (GtObject& o : ex.objects) {
+    o.box = Box{1.0f - o.box.x2, o.box.y1, 1.0f - o.box.x1, o.box.y2};
+    mirror_rows(o.mask);
+  }
+}
+
 SyntheticDetectionDataset::SyntheticDetectionDataset(const Config& config) : config_(config) {
   Rng rng(config_.seed ^ 0xC0C0AAULL);
   train_.reserve(static_cast<std::size_t>(config_.train_size));

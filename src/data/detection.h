@@ -32,6 +32,9 @@ struct DetectionExample {
   std::vector<GtObject> objects;
 };
 
+/// Mirrors `ex` left-right in place: the image, every box and every mask.
+void horizontal_flip(DetectionExample& ex);
+
 /// Synthetic stand-in for COCO (see DESIGN.md): images contain 1..max_objects
 /// solid geometric shapes; shape kind = class (0 square, 1 disc, 2 diamond).
 /// Backgrounds have textured noise so detection is non-trivial. Boxes and

@@ -373,9 +373,11 @@ void MaskRcnnWorkload::train_epoch() {
   model_->set_training(true);
   std::vector<std::size_t> order =
       rng_.permutation(static_cast<std::size_t>(dataset_->train_size()));
-  for (std::size_t idx : order)
-    train_step(*optimizer_, {.lr = config_.lr},
-               [&] { return image_loss(dataset_->train(static_cast<std::int64_t>(idx))); });
+  for (std::size_t idx : order) {
+    data::DetectionExample ex = dataset_->train(static_cast<std::int64_t>(idx));
+    if (rng_.uniform() < 0.5) data::horizontal_flip(ex);  // reference augmentation
+    train_step(*optimizer_, {.lr = config_.lr}, [&] { return image_loss(ex); });
+  }
 }
 
 std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,

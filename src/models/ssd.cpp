@@ -212,25 +212,7 @@ void SsdWorkload::train_epoch() {
 
     for (std::int64_t b = 0; b < n; ++b) {
       data::DetectionExample ex = dataset_->train(static_cast<std::int64_t>(order[off + static_cast<std::size_t>(b)]));
-      if (rng_.uniform() < 0.5) {  // horizontal flip, boxes/masks follow
-        const std::int64_t c = ex.image.shape()[0], h = ex.image.shape()[1],
-                           w = ex.image.shape()[2];
-        Tensor img({c, h, w});
-        for (std::int64_t ch = 0; ch < c; ++ch)
-          for (std::int64_t i = 0; i < h; ++i)
-            for (std::int64_t j = 0; j < w; ++j)
-              img.at({ch, i, j}) = ex.image.at({ch, i, w - 1 - j});
-        ex.image = img;
-        for (auto& o : ex.objects) {
-          const float x1 = 1.0f - o.box.x2, x2 = 1.0f - o.box.x1;
-          o.box.x1 = x1;
-          o.box.x2 = x2;
-          Tensor m({h, w});
-          for (std::int64_t i = 0; i < h; ++i)
-            for (std::int64_t j = 0; j < w; ++j) m.at({i, j}) = o.mask.at({i, w - 1 - j});
-          o.mask = m;
-        }
-      }
+      if (rng_.uniform() < 0.5) data::horizontal_flip(ex);  // reference augmentation
       std::copy(ex.image.vec().begin(), ex.image.vec().end(),
                 images.vec().begin() + b * ex.image.numel());
       const MatchResult match = match_anchors(anchors, ex.objects, config_.match_iou);

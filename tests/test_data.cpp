@@ -301,6 +301,36 @@ TEST(DetectionData, BoxesMatchMasks) {
   }
 }
 
+TEST(DetectionData, HorizontalFlipMirrorsImageBoxesAndMasks) {
+  SyntheticDetectionDataset::Config cfg;
+  cfg.train_size = 4;
+  cfg.val_size = 1;
+  SyntheticDetectionDataset ds(cfg);
+  const DetectionExample& orig = ds.train(0);
+  DetectionExample ex = orig;
+  horizontal_flip(ex);
+  const std::int64_t c = cfg.channels, h = cfg.height, w = cfg.width;
+  for (std::int64_t ch = 0; ch < c; ++ch)
+    for (std::int64_t i = 0; i < h; ++i)
+      for (std::int64_t j = 0; j < w; ++j)
+        ASSERT_EQ(ex.image.at({ch, i, j}), orig.image.at({ch, i, w - 1 - j}));
+  ASSERT_EQ(ex.objects.size(), orig.objects.size());
+  for (std::size_t k = 0; k < ex.objects.size(); ++k) {
+    const GtObject& o = orig.objects[k];
+    const GtObject& f = ex.objects[k];
+    EXPECT_EQ(f.cls, o.cls);
+    EXPECT_EQ(f.box.x1, 1.0f - o.box.x2);
+    EXPECT_EQ(f.box.x2, 1.0f - o.box.x1);
+    EXPECT_EQ(f.box.y1, o.box.y1);
+    EXPECT_EQ(f.box.y2, o.box.y2);
+    for (std::int64_t i = 0; i < h; ++i)
+      for (std::int64_t j = 0; j < w; ++j)
+        ASSERT_EQ(f.mask.at({i, j}), o.mask.at({i, w - 1 - j}));
+  }
+  horizontal_flip(ex);  // an involution on the pixels
+  EXPECT_EQ(ex.image.vec(), orig.image.vec());
+}
+
 TEST(DetectionData, IouSelfIsOneDisjointIsZero) {
   Box a{0.1f, 0.1f, 0.5f, 0.5f};
   Box b{0.6f, 0.6f, 0.9f, 0.9f};
