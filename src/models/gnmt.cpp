@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "metrics/metrics.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "metrics/metrics.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
