@@ -123,10 +123,23 @@ static void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
-// Threaded variants: same kernels through the parallel_for partitioner with a
-// worker pool of range(1) threads. The output is bitwise identical across the
-// thread counts (asserted in tests/test_parallel.cpp); only the wall time may
-// move. Thread count 1 keeps the pool absent, i.e. the inline path above.
+// Dispatch cost of parallel_for itself: an empty body over 4 items, i.e. one
+// fork-join job of min(4, range(0)) parts. Thread count 1 is the inline path.
+// Wall time, since the workers' share of a job is not on the caller's CPU
+// clock.
+static void BM_ParallelForDispatch(benchmark::State& state) {
+  parallel::set_num_threads(state.range(0));
+  for (auto _ : state) parallel::parallel_for(1, 4, [](std::int64_t, std::int64_t) {});
+  parallel::set_num_threads(1);
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// Threaded variants: same kernels through the parallel_for partitioner with
+// range(1) threads, the caller included. The output is bitwise identical
+// across the thread counts (asserted in tests/test_parallel.cpp); only the
+// wall time may move. Thread count 1 keeps the pool absent, i.e. the inline
+// path above. Timed in wall time: items_per_second over the caller's CPU time
+// alone would overstate the throughput.
 static void BM_GemmThreaded(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   parallel::set_num_threads(state.range(1));
@@ -146,7 +159,8 @@ BENCHMARK(BM_GemmThreaded)
     ->Args({256, 4})
     ->Args({512, 1})
     ->Args({512, 2})
-    ->Args({512, 4});
+    ->Args({512, 4})
+    ->UseRealTime();
 
 static void BM_Conv2dForwardThreaded(benchmark::State& state) {
   const std::int64_t c = state.range(0);
@@ -164,7 +178,8 @@ static void BM_Conv2dForwardThreaded(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardThreaded)
     ->Args({32, 1})
     ->Args({32, 2})
-    ->Args({32, 4});
+    ->Args({32, 4})
+    ->UseRealTime();
 
 static void BM_Conv2dTrainStep(benchmark::State& state) {
   const std::int64_t c = state.range(0);

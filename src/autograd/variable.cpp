@@ -17,6 +17,9 @@ using tensor::Tensor;
 namespace detail {
 
 void Node::accumulate_grad(const Tensor& g) {
+  // Elementwise, so split across the pool: every element sees the same
+  // single float add at any thread count.
+  const std::int64_t grain = parallel::grain_for(1);
   if (!grad_initialized && g.shape() == value.shape()) {
     // First touch: write g straight into a pooled buffer instead of
     // zero-filling and adding. `0.0f + src` is the exact float-add the old
@@ -25,8 +28,9 @@ void Node::accumulate_grad(const Tensor& g) {
     grad = Tensor::uninitialized(value.shape());
     float* dst = grad.data();
     const float* src = g.data();
-    const std::int64_t n = grad.numel();
-    for (std::int64_t i = 0; i < n; ++i) dst[i] = 0.0f + src[i];
+    parallel::parallel_for(grain, grad.numel(), [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i) dst[i] = 0.0f + src[i];
+    });
     grad_initialized = true;
     return;
   }
@@ -34,20 +38,18 @@ void Node::accumulate_grad(const Tensor& g) {
     grad = Tensor(value.shape());
     grad_initialized = true;
   }
-  if (g.shape() == grad.shape()) {
-    float* dst = grad.data();
-    const float* src = g.data();
-    const std::int64_t n = grad.numel();
-    for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
-  } else {
-    // In-place accumulate of the reduced gradient: the same float adds
-    // grad.add(r) would perform, minus its output allocation.
-    const Tensor r = g.reduce_to(grad.shape());
-    float* dst = grad.data();
-    const float* src = r.data();
-    const std::int64_t n = grad.numel();
-    for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
+  // In-place accumulate; a broadcast gradient is reduced first (the same
+  // float adds grad.add(r) would perform, minus its output allocation).
+  Tensor reduced;
+  const float* src = g.data();
+  if (g.shape() != grad.shape()) {
+    reduced = g.reduce_to(grad.shape());
+    src = reduced.data();
   }
+  float* dst = grad.data();
+  parallel::parallel_for(grain, grad.numel(), [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) dst[i] += src[i];
+  });
 }
 
 }  // namespace detail

@@ -212,9 +212,9 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
         const std::int64_t col_cols = d.oh * d.ow;
         const bool need_w = w_node->requires_grad;
         const bool need_x = in_node->requires_grad;
-        Tensor dW({d.o, d.c, d.kh, d.kw});
-        Tensor dX(in_node->value.shape());
-        const std::int64_t wnumel = dW.numel();
+        // dX is scatter-added into by col2im_accumulate: it needs the zero fill.
+        Tensor dX = need_x ? Tensor(in_node->value.shape()) : Tensor();
+        const std::int64_t wnumel = w_node->value.numel();
         // dW accumulates across samples, so each sample gets a private
         // partial (computed identically at any thread count) and the
         // partials are summed in ascending sample order below — the exact
@@ -272,11 +272,21 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
               }
             });
         if (need_w) {
-          for (std::int64_t s = 0; s < d.n; ++s) {
-            const float* dws = dw_partials + s * wnumel;
-            float* dst = dW.data();
-            for (std::int64_t i = 0; i < wnumel; ++i) dst[i] += dws[i];
-          }
+          // Weight-element-parallel fold: each part owns a disjoint slice of
+          // dW (fully overwritten) and adds the partials into it in ascending
+          // sample order, the per-element float-add sequence of the
+          // sequential fold.
+          Tensor dW = Tensor::uninitialized(w_node->value.shape());
+          float* dst = dW.data();
+          parallel::parallel_for(parallel::grain_for(d.n), wnumel,
+                                 [&](std::int64_t i_begin, std::int64_t i_end) {
+                                   std::fill(dst + i_begin, dst + i_end, 0.0f);
+                                   for (std::int64_t s = 0; s < d.n; ++s) {
+                                     const float* dws = dw_partials + s * wnumel;
+                                     for (std::int64_t i = i_begin; i < i_end; ++i)
+                                       dst[i] += dws[i];
+                                   }
+                                 });
           w_node->accumulate_grad(dW);
         }
         if (need_x) in_node->accumulate_grad(dX);

@@ -65,98 +65,106 @@ Variable BatchNorm2d::forward(const Variable& x) {
   const std::int64_t n = xv.shape()[0], c = xv.shape()[1], hw = xv.shape()[2] * xv.shape()[3];
   const std::int64_t m = n * hw;  // samples per channel
 
-  Tensor mean({c}), var({c});
-  if (training()) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      double s = 0.0;
-      for (std::int64_t b = 0; b < n; ++b) {
-        const float* p = xv.data() + (b * c + ch) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) s += p[i];
-      }
-      mean[ch] = static_cast<float>(s / static_cast<double>(m));
-      double v = 0.0;
-      for (std::int64_t b = 0; b < n; ++b) {
-        const float* p = xv.data() + (b * c + ch) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) {
-          const double d = p[i] - mean[ch];
-          v += d * d;
-        }
-      }
-      var[ch] = static_cast<float>(v / static_cast<double>(m));
-    }
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      running_mean[ch] = momentum * running_mean[ch] + (1.0f - momentum) * mean[ch];
-      running_var[ch] = momentum * running_var[ch] + (1.0f - momentum) * var[ch];
-    }
-  } else {
-    mean = running_mean;
-    var = running_var;
-  }
-
+  // Channel-parallel: each part owns a disjoint range of channels, computes
+  // their statistics (double sums folded in ascending sample order, as the
+  // sequential loop did) and normalizes their n sample planes, so the output
+  // is bitwise identical at any thread count. xhat (cached for backward) and
+  // out are fully overwritten.
+  const bool train_mode = training();
   Tensor inv_std({c});
-  for (std::int64_t ch = 0; ch < c; ++ch)
-    inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps);
-
-  // xhat cached for backward.
-  auto xhat = std::make_shared<Tensor>(xv.shape());
-  Tensor out(xv.shape());
-  for (std::int64_t b = 0; b < n; ++b)
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float mu = mean[ch], is = inv_std[ch];
-      const float ga = gamma.value()[ch], be = beta.value()[ch];
-      const float* src = xv.data() + (b * c + ch) * hw;
-      float* xh = xhat->data() + (b * c + ch) * hw;
-      float* dst = out.data() + (b * c + ch) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        xh[i] = (src[i] - mu) * is;
-        dst[i] = ga * xh[i] + be;
-      }
-    }
+  auto xhat = std::make_shared<Tensor>(Tensor::uninitialized(xv.shape()));
+  Tensor out = Tensor::uninitialized(xv.shape());
+  parallel::parallel_for(
+      parallel::grain_for(4 * m), c, [&](std::int64_t c_begin, std::int64_t c_end) {
+        for (std::int64_t ch = c_begin; ch < c_end; ++ch) {
+          float mu, var;
+          if (train_mode) {
+            double s = 0.0;
+            for (std::int64_t b = 0; b < n; ++b) {
+              const float* p = xv.data() + (b * c + ch) * hw;
+              for (std::int64_t i = 0; i < hw; ++i) s += p[i];
+            }
+            mu = static_cast<float>(s / static_cast<double>(m));
+            double v = 0.0;
+            for (std::int64_t b = 0; b < n; ++b) {
+              const float* p = xv.data() + (b * c + ch) * hw;
+              for (std::int64_t i = 0; i < hw; ++i) {
+                const double d = p[i] - mu;
+                v += d * d;
+              }
+            }
+            var = static_cast<float>(v / static_cast<double>(m));
+            running_mean[ch] = momentum * running_mean[ch] + (1.0f - momentum) * mu;
+            running_var[ch] = momentum * running_var[ch] + (1.0f - momentum) * var;
+          } else {
+            mu = running_mean[ch];
+            var = running_var[ch];
+          }
+          const float is = 1.0f / std::sqrt(var + eps);
+          inv_std[ch] = is;
+          const float ga = gamma.value()[ch], be = beta.value()[ch];
+          for (std::int64_t b = 0; b < n; ++b) {
+            const float* src = xv.data() + (b * c + ch) * hw;
+            float* xh = xhat->data() + (b * c + ch) * hw;
+            float* dst = out.data() + (b * c + ch) * hw;
+            for (std::int64_t i = 0; i < hw; ++i) {
+              xh[i] = (src[i] - mu) * is;
+              dst[i] = ga * xh[i] + be;
+            }
+          }
+        }
+      });
 
   auto xn = x.node();
   auto gn = gamma.node();
   auto bn = beta.node();
-  const bool train_mode = training();
   return Variable::from_op(
       std::move(out), {x, gamma, beta},
       [xn, gn, bn, xhat, inv_std, n, c, hw, m, train_mode](const Tensor& g) {
+        // Channel-parallel as well: a channel's dgamma/dbeta fold its samples
+        // in ascending order, and its dx planes need only that channel's
+        // sums, so each part finishes its channels end to end. dx is fully
+        // overwritten when it is needed.
         Tensor dgamma({c}), dbeta({c});
-        for (std::int64_t b = 0; b < n; ++b)
-          for (std::int64_t ch = 0; ch < c; ++ch) {
-            const float* gp = g.data() + (b * c + ch) * hw;
-            const float* xh = xhat->data() + (b * c + ch) * hw;
-            double dg = 0.0, db = 0.0;
-            for (std::int64_t i = 0; i < hw; ++i) {
-              dg += static_cast<double>(gp[i]) * xh[i];
-              db += gp[i];
-            }
-            dgamma[ch] += static_cast<float>(dg);
-            dbeta[ch] += static_cast<float>(db);
-          }
+        const bool need_x = xn->requires_grad;
+        Tensor dx = need_x ? Tensor::uninitialized(xn->value.shape()) : Tensor();
+        const float inv_m = 1.0f / static_cast<float>(m);
+        parallel::parallel_for(
+            parallel::grain_for(6 * m), c, [&](std::int64_t c_begin, std::int64_t c_end) {
+              for (std::int64_t ch = c_begin; ch < c_end; ++ch) {
+                for (std::int64_t b = 0; b < n; ++b) {
+                  const float* gp = g.data() + (b * c + ch) * hw;
+                  const float* xh = xhat->data() + (b * c + ch) * hw;
+                  double dg = 0.0, db = 0.0;
+                  for (std::int64_t i = 0; i < hw; ++i) {
+                    dg += static_cast<double>(gp[i]) * xh[i];
+                    db += gp[i];
+                  }
+                  dgamma[ch] += static_cast<float>(dg);
+                  dbeta[ch] += static_cast<float>(db);
+                }
+                if (!need_x) continue;
+                const float ga = gn->value[ch], is = inv_std[ch];
+                const float sum_dxhat = dbeta[ch] * ga;        // sum of g*gamma
+                const float sum_dxhat_xhat = dgamma[ch] * ga;  // sum of g*gamma*xhat
+                for (std::int64_t b = 0; b < n; ++b) {
+                  const float* gp = g.data() + (b * c + ch) * hw;
+                  const float* xh = xhat->data() + (b * c + ch) * hw;
+                  float* dp = dx.data() + (b * c + ch) * hw;
+                  for (std::int64_t i = 0; i < hw; ++i) {
+                    const float dxhat = gp[i] * ga;
+                    if (train_mode) {
+                      dp[i] = is * (dxhat - inv_m * sum_dxhat - xh[i] * inv_m * sum_dxhat_xhat);
+                    } else {
+                      dp[i] = is * dxhat;  // running stats are constants in eval mode
+                    }
+                  }
+                }
+              }
+            });
         if (gn->requires_grad) gn->accumulate_grad(dgamma);
         if (bn->requires_grad) bn->accumulate_grad(dbeta);
-        if (!xn->requires_grad) return;
-        Tensor dx(xn->value.shape());
-        const float inv_m = 1.0f / static_cast<float>(m);
-        for (std::int64_t ch = 0; ch < c; ++ch) {
-          const float ga = gn->value[ch], is = inv_std[ch];
-          const float sum_dxhat = dbeta[ch] * ga;           // sum of g*gamma
-          const float sum_dxhat_xhat = dgamma[ch] * ga;     // sum of g*gamma*xhat
-          for (std::int64_t b = 0; b < n; ++b) {
-            const float* gp = g.data() + (b * c + ch) * hw;
-            const float* xh = xhat->data() + (b * c + ch) * hw;
-            float* dp = dx.data() + (b * c + ch) * hw;
-            for (std::int64_t i = 0; i < hw; ++i) {
-              const float dxhat = gp[i] * ga;
-              if (train_mode) {
-                dp[i] = is * (dxhat - inv_m * sum_dxhat - xh[i] * inv_m * sum_dxhat_xhat);
-              } else {
-                dp[i] = is * dxhat;  // running stats are constants in eval mode
-              }
-            }
-          }
-        }
-        xn->accumulate_grad(dx);
+        if (need_x) xn->accumulate_grad(dx);
       });
 }
 

@@ -1,7 +1,6 @@
 #include "parallel/parallel_for.h"
 
-#include <condition_variable>
-#include <exception>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -10,30 +9,44 @@ namespace mlperf::parallel {
 
 namespace {
 
+// The pool is only replaced by set_num_threads, under g_config_mu; readers on
+// the parallel_for hot path take the atomic snapshot instead of the lock.
 std::mutex g_config_mu;
-std::int64_t g_num_threads = 1;
 std::unique_ptr<ThreadPool> g_pool;
+std::atomic<ThreadPool*> g_pool_ptr{nullptr};
+std::atomic<std::int64_t> g_num_threads{1};
+
+/// One parallel_for call's static partition: part p owns chunks
+/// [p*q + min(p,r), ...), i.e. the same grain-aligned interval every run.
+struct Partition {
+  const std::function<void(std::int64_t, std::int64_t)>* fn;
+  std::int64_t grain, range, q, r;
+
+  static void run_part(const void* ctx, std::int64_t p) {
+    const auto& s = *static_cast<const Partition*>(ctx);
+    const std::int64_t c_begin = p * s.q + std::min(p, s.r);
+    const std::int64_t c_end = c_begin + s.q + (p < s.r ? 1 : 0);
+    (*s.fn)(c_begin * s.grain, std::min(c_end * s.grain, s.range));
+  }
+};
 
 }  // namespace
 
 void set_num_threads(std::int64_t n) {
   if (n < 1) throw std::invalid_argument("set_num_threads: n must be >= 1");
   std::lock_guard<std::mutex> lock(g_config_mu);
-  if (n == g_num_threads) return;
+  if (n == g_num_threads.load()) return;
+  g_pool_ptr.store(nullptr);
   g_pool.reset();  // joins the old workers (queue is drained first)
-  g_num_threads = n;
-  if (n > 1) g_pool = std::make_unique<ThreadPool>(n);
+  g_num_threads.store(n);
+  // The caller runs parts too, so n threads need n - 1 workers.
+  if (n > 1) g_pool = std::make_unique<ThreadPool>(n - 1);
+  g_pool_ptr.store(g_pool.get());
 }
 
-std::int64_t num_threads() {
-  std::lock_guard<std::mutex> lock(g_config_mu);
-  return g_num_threads;
-}
+std::int64_t num_threads() { return g_num_threads.load(std::memory_order_relaxed); }
 
-ThreadPool* global_pool() {
-  std::lock_guard<std::mutex> lock(g_config_mu);
-  return g_pool.get();
-}
+ThreadPool* global_pool() { return g_pool_ptr.load(std::memory_order_acquire); }
 
 void parallel_for(std::int64_t grain, std::int64_t range,
                   const std::function<void(std::int64_t, std::int64_t)>& fn) {
@@ -42,49 +55,13 @@ void parallel_for(std::int64_t grain, std::int64_t range,
   const std::int64_t n_chunks = (range + g - 1) / g;
   ThreadPool* pool = global_pool();
   const std::int64_t parts =
-      pool ? std::min<std::int64_t>(n_chunks, pool->num_workers()) : 1;
+      pool ? std::min<std::int64_t>(n_chunks, pool->num_workers() + 1) : 1;
   if (parts <= 1 || ThreadPool::on_worker_thread()) {
     fn(0, range);
     return;
   }
-
-  struct Join {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::int64_t remaining;
-    std::vector<std::exception_ptr> errors;
-  };
-  Join join;
-  join.remaining = parts;
-  join.errors.resize(static_cast<std::size_t>(parts));
-
-  // Static contiguous partition: part p owns chunks [p*q + min(p,r), ...),
-  // i.e. the same grain-aligned interval every run.
-  const std::int64_t q = n_chunks / parts;
-  const std::int64_t r = n_chunks % parts;
-  for (std::int64_t p = 0; p < parts; ++p) {
-    const std::int64_t c_begin = p * q + std::min(p, r);
-    const std::int64_t c_end = c_begin + q + (p < r ? 1 : 0);
-    const std::int64_t lo = c_begin * g;
-    const std::int64_t hi = std::min(c_end * g, range);
-    pool->enqueue([&join, &fn, p, lo, hi] {
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        join.errors[static_cast<std::size_t>(p)] = std::current_exception();
-      }
-      // Notify under the lock: the instant the caller's wait predicate can
-      // see remaining == 0, `join` may be destroyed, so the worker must not
-      // touch it after releasing mu.
-      std::lock_guard<std::mutex> lock(join.mu);
-      --join.remaining;
-      if (join.remaining == 0) join.cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(join.mu);
-  join.cv.wait(lock, [&join] { return join.remaining == 0; });
-  for (const auto& e : join.errors)
-    if (e) std::rethrow_exception(e);
+  const Partition partition{&fn, g, range, n_chunks / parts, n_chunks % parts};
+  pool->run(parts, &Partition::run_part, &partition);
 }
 
 std::int64_t grain_for(std::int64_t work_per_item) {

@@ -9,11 +9,12 @@
 
 namespace mlperf::parallel {
 
-/// Intra-op parallelism knob. `n` counts worker threads doing tensor work;
-/// 1 (the default) means everything runs inline on the calling thread,
-/// exactly as the pre-parallelism code did. Call from the main thread while
-/// no parallel work is in flight (e.g. before harness::run_to_target) — the
-/// global pool is torn down and rebuilt here, which is not safe mid-op.
+/// Intra-op parallelism knob. `n` counts the threads doing tensor work, the
+/// calling thread included: the global pool then holds n - 1 workers. 1 (the
+/// default) means everything runs inline on the calling thread, exactly as
+/// the pre-parallelism code did. Call from the main thread while no parallel
+/// work is in flight (e.g. before harness::run_to_target) — the global pool
+/// is torn down and rebuilt here, which is not safe mid-op.
 void set_num_threads(std::int64_t n);
 std::int64_t num_threads();
 
@@ -24,15 +25,20 @@ ThreadPool* global_pool();
 /// Invoke fn(begin, end) on disjoint contiguous subranges covering
 /// [0, range), in parallel on the global pool.
 ///
-/// Subrange boundaries always fall on multiples of `grain`, and the static
-/// contiguous partition is fixed before any task runs — there is no work
-/// stealing and no dynamic re-splitting. Ops whose elements are computed
-/// independently (disjoint writes, per-element accumulation order unchanged)
-/// are therefore bitwise identical at any thread count, including the
-/// inline single-threaded path. Exceptions thrown by fn are rethrown on the
-/// calling thread (first failing subrange wins). Runs inline when the pool
-/// is absent, when only one subrange exists, or when already on a pool
-/// worker (nested parallelism).
+/// The range is cut into parts = min(ceil(range/grain), num_threads())
+/// subranges whose boundaries always fall on multiples of `grain`; this
+/// static contiguous partition is fixed before any part runs and there is no
+/// dynamic re-splitting. Ops whose elements are computed independently
+/// (disjoint writes, per-element accumulation order unchanged) are therefore
+/// bitwise identical at any thread count, including the inline
+/// single-threaded path. The parts run as one ThreadPool::run fork-join job:
+/// the calling thread runs parts itself alongside the pool's workers, which
+/// spin briefly between jobs (ThreadPool::kSpinBudget) before parking, so a
+/// dispatch costs a couple of microseconds rather than a queue round-trip.
+/// Every part runs; the exception of the first failing subrange is then
+/// rethrown on the calling thread. Runs inline when the pool is absent, when
+/// only one subrange exists, or when already inside a parallel_for part or
+/// on a pool worker (nested parallelism).
 void parallel_for(std::int64_t grain, std::int64_t range,
                   const std::function<void(std::int64_t, std::int64_t)>& fn);
 

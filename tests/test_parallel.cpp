@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
 #include "data/loader.h"
 #include "nn/functional.h"
+#include "nn/layers.h"
 #include "tensor/tensor.h"
 
 namespace mlperf::parallel {
@@ -68,7 +72,9 @@ TEST_F(ParallelTest, SetNumThreadsControlsGlobalPool) {
   set_num_threads(4);
   EXPECT_EQ(num_threads(), 4);
   ASSERT_NE(global_pool(), nullptr);
-  EXPECT_EQ(global_pool()->num_workers(), 4);  // caller blocks; pool holds all n
+  // The caller runs parts of every parallel_for itself, so n threads are the
+  // caller plus n - 1 pool workers.
+  EXPECT_EQ(global_pool()->num_workers(), 3);
   set_num_threads(1);
   EXPECT_EQ(global_pool(), nullptr);
   EXPECT_THROW(set_num_threads(0), std::invalid_argument);
@@ -124,6 +130,99 @@ TEST_F(ParallelTest, ExceptionPropagatesAndPoolStaysUsable) {
     total.fetch_add(end - begin, std::memory_order_relaxed);
   });
   EXPECT_EQ(total.load(), 100);
+}
+
+/// Every part of a parallel_for over `parts` chunks of one item waits until
+/// all parts have started, so each of the `parts` threads (the caller and its
+/// num_threads() - 1 workers) runs exactly one, and `throws(on_caller)` picks
+/// which of them throw. Stores the begin index of the caller's part in
+/// `caller_part`.
+void run_one_part_per_thread(std::int64_t parts, bool (*throws)(bool on_caller),
+                             std::atomic<std::int64_t>& caller_part) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<std::int64_t> started{0};
+  parallel_for(1, parts, [&](std::int64_t begin, std::int64_t) {
+    started.fetch_add(1);
+    while (started.load() < parts) std::this_thread::yield();
+    const bool on_caller = std::this_thread::get_id() == caller;
+    if (on_caller) caller_part.store(begin);
+    if (throws(on_caller)) throw std::runtime_error(std::to_string(begin));
+  });
+}
+
+/// The part index carried by the exception run_one_part_per_thread threw, or
+/// -1 when nothing was thrown.
+std::int64_t thrown_part(bool (*throws)(bool on_caller), std::atomic<std::int64_t>& caller_part) {
+  try {
+    run_one_part_per_thread(4, throws, caller_part);
+  } catch (const std::runtime_error& e) {
+    return std::stoll(e.what());
+  }
+  return -1;
+}
+
+void expect_pool_usable() {
+  std::atomic<std::int64_t> total{0};
+  parallel_for(1, 100, [&](std::int64_t begin, std::int64_t end) { total += end - begin; });
+  EXPECT_EQ(total.load(), 100);
+}
+
+TEST_F(ParallelTest, CallerRunsAPartOfEveryJob) {
+  set_num_threads(4);
+  std::atomic<std::int64_t> caller_part{-1};
+  run_one_part_per_thread(4, [](bool) { return false; }, caller_part);
+  EXPECT_GE(caller_part.load(), 0);
+  EXPECT_LT(caller_part.load(), 4);
+}
+
+TEST_F(ParallelTest, ExceptionInCallersOwnPartPropagates) {
+  set_num_threads(4);
+  std::atomic<std::int64_t> caller_part{-1};
+  const std::int64_t thrown = thrown_part([](bool on_caller) { return on_caller; }, caller_part);
+  EXPECT_EQ(thrown, caller_part.load());  // the only failing part
+  expect_pool_usable();
+}
+
+TEST_F(ParallelTest, ExceptionInWorkersPartPropagatesLowestFirst) {
+  set_num_threads(4);
+  std::atomic<std::int64_t> caller_part{-1};
+  const std::int64_t thrown = thrown_part([](bool on_caller) { return !on_caller; }, caller_part);
+  // Three workers threw; the lowest-numbered failing part wins.
+  EXPECT_EQ(thrown, caller_part.load() == 0 ? 1 : 0);
+  expect_pool_usable();
+}
+
+TEST_F(ParallelTest, ConcurrentCallersEachCoverTheirRangeOnce) {
+  set_num_threads(4);
+  constexpr std::int64_t kRange = 997;
+  auto hammer = [](std::vector<std::atomic<int>>& hits) {
+    for (int rep = 0; rep < 200; ++rep)
+      parallel_for(7, kRange, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t i = begin; i < end; ++i) hits[static_cast<std::size_t>(i)]++;
+      });
+  };
+  std::vector<std::atomic<int>> hits_a(kRange), hits_b(kRange);
+  for (auto& h : hits_a) h.store(0);
+  for (auto& h : hits_b) h.store(0);
+  std::thread a([&] { hammer(hits_a); });
+  std::thread b([&] { hammer(hits_b); });
+  a.join();
+  b.join();
+  for (const auto& h : hits_a) EXPECT_EQ(h.load(), 200);
+  for (const auto& h : hits_b) EXPECT_EQ(h.load(), 200);
+}
+
+TEST_F(ParallelTest, SetNumThreadsCyclesWithParkedWorkers) {
+  for (std::int64_t threads : {1, 4, 2, 4, 1, 4}) {
+    set_num_threads(threads);
+    // Outlast the spin budget so the workers park before the next job and
+    // before the pool is torn down.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::atomic<std::int64_t> total{0};
+    parallel_for(1, 64, [&](std::int64_t begin, std::int64_t end) { total += end - begin; });
+    EXPECT_EQ(total.load(), 64);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
 }
 
 TEST_F(ParallelTest, NestedParallelForRunsInline) {
@@ -223,6 +322,72 @@ TEST_F(ParallelTest, PoolingBitwiseIdenticalAcrossThreadCounts) {
   const auto [y4, dx4] = run();
   expect_bitwise_equal(y4, y1);
   expect_bitwise_equal(dx4, dx1);
+}
+
+TEST_F(ParallelTest, BatchNormBitwiseIdenticalAcrossThreadCounts) {
+  // n*h*w = 4608 samples per channel: large enough that every channel is
+  // its own chunk, so 12 channels spread over all the threads.
+  Rng rng(10);
+  const Tensor x = Tensor::randn({8, 12, 24, 24}, rng);
+  const Tensor upstream = Tensor::randn({8, 12, 24, 24}, rng);
+  const Tensor gamma = Tensor::randn({12}, rng);
+  const Tensor beta = Tensor::randn({12}, rng);
+  const Tensor running_var = Tensor::rand({12}, rng, 0.5f, 2.0f);
+
+  for (const bool train : {true, false}) {
+    auto run = [&] {
+      nn::BatchNorm2d bn(12);
+      bn.gamma.mutable_value() = gamma;
+      bn.beta.mutable_value() = beta;
+      bn.running_var = running_var;
+      bn.set_training(train);
+      autograd::Variable vx(x, true);
+      autograd::Variable y = bn.forward(vx);
+      autograd::sum_all(autograd::mul(y, autograd::Variable(upstream))).backward();
+      return std::vector<Tensor>{y.value(),         vx.grad(),      bn.gamma.grad(),
+                                 bn.beta.grad(),    bn.running_mean, bn.running_var};
+    };
+    set_num_threads(1);
+    const std::vector<Tensor> ref = run();
+    for (std::int64_t threads : {2, 4, 8}) {
+      set_num_threads(threads);
+      const std::vector<Tensor> got = run();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "train " << train << " threads " << threads
+                                          << " output " << i);
+        expect_bitwise_equal(got[i], ref[i]);
+      }
+    }
+  }
+}
+
+TEST_F(ParallelTest, AccumulateGradBitwiseIdenticalAcrossThreadCounts) {
+  // Both shapes exceed one chunk of grain_for(1) elements, so the adds split.
+  Rng rng(11);
+  const Tensor same_a = Tensor::randn({3, 50000}, rng);
+  const Tensor same_b = Tensor::randn({3, 50000}, rng);
+  const Tensor wide_a = Tensor::randn({3, 40000}, rng);
+  const Tensor wide_b = Tensor::randn({3, 40000}, rng);
+
+  auto run = [&] {
+    // Same shape: first touch, then an in-place add.
+    autograd::Variable same(Tensor({3, 50000}), true);
+    same.node()->accumulate_grad(same_a);
+    same.node()->accumulate_grad(same_b);
+    // Broadcast: [3, 40000] gradients reduced into a [1, 40000] leaf.
+    autograd::Variable wide(Tensor({1, 40000}), true);
+    wide.node()->accumulate_grad(wide_a);
+    wide.node()->accumulate_grad(wide_b);
+    return std::pair<Tensor, Tensor>{same.grad(), wide.grad()};
+  };
+  set_num_threads(1);
+  const auto [same1, wide1] = run();
+  for (std::int64_t threads : {2, 4, 8}) {
+    set_num_threads(threads);
+    const auto [same_n, wide_n] = run();
+    expect_bitwise_equal(same_n, same1);
+    expect_bitwise_equal(wide_n, wide1);
+  }
 }
 
 TEST_F(ParallelTest, PrefetchLoaderDeterministicAcrossThreadCounts) {
