@@ -1,9 +1,6 @@
 #include "data/loader.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -12,16 +9,6 @@
 namespace mlperf::data {
 
 using tensor::Tensor;
-
-/// One double-buffer slot: the producer fills it on a pool thread (or inline
-/// when no pool exists) and flips `ready`; the consumer blocks on `cv`.
-struct ImageLoader::Inflight {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-  ImageBatch batch;
-  std::exception_ptr error;
-};
 
 ImageLoader::ImageLoader(const ReformattedImageSet& set, std::int64_t batch_size,
                          const AugmentationPipeline* augment, tensor::Rng& rng, bool drop_last,
@@ -32,11 +19,8 @@ ImageLoader::ImageLoader(const ReformattedImageSet& set, std::int64_t batch_size
   start_epoch();
 }
 
-ImageLoader::~ImageLoader() { wait_inflight(); }
-
 void ImageLoader::start_epoch() {
-  wait_inflight();  // a pending batch still reads order_; let it finish
-  inflight_.reset();
+  inflight_ = {};  // a running batch still reads order_: this waits for it
   ++epochs_started_;
   order_ = rng_->permutation(static_cast<std::size_t>(set_->size()));
   cursor_ = 0;
@@ -46,7 +30,7 @@ void ImageLoader::start_epoch() {
 }
 
 bool ImageLoader::has_next() const {
-  if (prefetch_) return inflight_ != nullptr;
+  if (prefetch_) return inflight_.valid();
   return cursor_ < limit_;
 }
 
@@ -82,7 +66,6 @@ ImageBatch ImageLoader::assemble(std::int64_t begin, std::int64_t end, tensor::R
 }
 
 void ImageLoader::schedule_next() {
-  inflight_.reset();
   if (cursor_ >= limit_) return;
   const std::int64_t begin = cursor_;
   const std::int64_t end = std::min(cursor_ + batch_size_, limit_);
@@ -91,41 +74,20 @@ void ImageLoader::schedule_next() {
   // in batch order, so the draws are a function of the seed alone — never of
   // how the producer task is scheduled.
   tensor::Rng batch_rng = augment_ ? rng_->split() : tensor::Rng(0);
-  auto job = std::make_shared<Inflight>();
-  inflight_ = job;
-  auto produce = [this, job, begin, end, batch_rng]() mutable {
-    try {
-      job->batch = assemble(begin, end, batch_rng);
-    } catch (...) {
-      job->error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->ready = true;
-    }
-    job->cv.notify_all();
-  };
-  parallel::ThreadPool* pool = parallel::global_pool();
-  if (pool)
-    pool->enqueue(std::move(produce));
-  else
-    produce();
-}
-
-void ImageLoader::wait_inflight() const {
-  if (!inflight_) return;
-  std::unique_lock<std::mutex> lock(inflight_->mu);
-  inflight_->cv.wait(lock, [this] { return inflight_->ready; });
+  const auto policy =
+      parallel::num_threads() > 1 ? std::launch::async : std::launch::deferred;
+  inflight_ = std::async(policy, [this, begin, end, batch_rng]() mutable {
+    return assemble(begin, end, batch_rng);
+  });
 }
 
 ImageBatch ImageLoader::next() {
   if (!has_next()) throw std::logic_error("ImageLoader: epoch exhausted");
   if (prefetch_) {
-    wait_inflight();
-    std::shared_ptr<Inflight> job = std::move(inflight_);
+    std::future<ImageBatch> job = std::move(inflight_);
+    job.wait();       // one producer at a time
     schedule_next();  // overlap batch k+1 with the consumer's work on batch k
-    if (job->error) std::rethrow_exception(job->error);
-    return std::move(job->batch);
+    return job.get();  // rethrows the producer's exception
   }
   // Non-prefetch path: thread the run Rng through every example, exactly as
   // the original single-threaded loader did.

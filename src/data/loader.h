@@ -1,10 +1,9 @@
 #pragma once
 
-#include <memory>
+#include <future>
 
 #include "data/augment.h"
 #include "data/dataset.h"
-#include "parallel/thread_pool.h"
 
 namespace mlperf::data {
 
@@ -22,20 +21,19 @@ struct ImageBatch {
 /// the timed portion of training (paper §3.2.1).
 ///
 /// With `prefetch` enabled the loader double-buffers: batch k+1 is augmented
-/// and assembled on the global parallel::ThreadPool while batch k trains.
-/// The shuffle order is unchanged, and each batch's augmentation draws come
-/// from a child Rng split off the run Rng on the consumer thread, in batch
-/// order — so a fixed seed yields the same batches at any thread count (and
-/// with no pool at all), just not the same draws as the non-prefetch path,
-/// which threads one Rng through every example.
+/// and assembled on its own thread (std::async) while batch k trains. At
+/// parallel::num_threads() == 1 the batch is instead deferred and assembled
+/// on the consumer thread when it is waited for, so a 1-thread run starts no
+/// thread. The shuffle order is unchanged, and each batch's augmentation
+/// draws come from a child Rng split off the run Rng on the consumer thread,
+/// in batch order — so a fixed seed yields the same batches at any thread
+/// count, just not the same draws as the non-prefetch path, which threads
+/// one Rng through every example.
 class ImageLoader {
  public:
   ImageLoader(const ReformattedImageSet& set, std::int64_t batch_size,
               const AugmentationPipeline* augment, tensor::Rng& rng, bool drop_last = false,
               bool prefetch = false);
-
-  /// Waits for any in-flight prefetch before tearing down.
-  ~ImageLoader();
 
   ImageLoader(const ImageLoader&) = delete;
   ImageLoader& operator=(const ImageLoader&) = delete;
@@ -56,8 +54,10 @@ class ImageLoader {
   /// ---- checkpoint support -----------------------------------------------
   /// Block until any in-flight prefetched batch has been fully assembled
   /// (the batch stays pending for the next next()). A checkpoint must drain
-  /// the loader before snapshotting so no producer task is still running.
-  void drain() const { wait_inflight(); }
+  /// the loader before snapshotting so no producer is still running.
+  void drain() const {
+    if (inflight_.valid()) inflight_.wait();
+  }
   /// True when every batch of the current epoch has been consumed — the only
   /// position at which the traversal state is checkpointable: between
   /// epochs the entire traversal is a pure function of the run Rng, so a
@@ -74,11 +74,8 @@ class ImageLoader {
   std::int64_t epoch_limit() const { return limit_; }
 
  private:
-  struct Inflight;
-
   /// Kick off assembly of the next batch (prefetch mode). Advances cursor_.
   void schedule_next();
-  void wait_inflight() const;
   /// Build the batch for shuffle positions [begin, end); `rng` drives the
   /// augmentation draws (ignored without an augmentation pipeline). Reads
   /// only epoch state that is frozen while a batch is in flight, so it is
@@ -95,7 +92,10 @@ class ImageLoader {
   std::int64_t cursor_ = 0;
   std::int64_t limit_ = 0;
   std::int64_t epochs_started_ = 0;
-  std::shared_ptr<Inflight> inflight_;  // non-null = one batch pending/ready
+  // Valid = one batch pending or ready. Declared last: destroying or
+  // replacing a std::async future waits for its producer, which reads the
+  // members above.
+  std::future<ImageBatch> inflight_;
 };
 
 /// Assemble a batch tensor from (already augmented) examples.

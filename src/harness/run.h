@@ -64,8 +64,9 @@ struct RunOptions {
   /// Evaluate every N epochs (quality is "evaluated at prescribed
   /// intervals", §4.1). 1 = every epoch.
   std::int64_t eval_interval = 1;
-  /// Intra-op worker threads for the tensor kernels and the prefetching
-  /// loader (parallel::set_num_threads). 1 = the exact single-threaded
+  /// Intra-op threads for the tensor kernels (parallel::set_num_threads);
+  /// above 1 the prefetching loader also assembles batches on a thread of
+  /// its own. 1 = the exact single-threaded
   /// pre-parallelism execution. A system knob, not a hyperparameter: the
   /// kernels partition work so the trained model is bitwise independent of
   /// this value (paper §2.2.3 treats nondeterminism as a variance source).

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "parallel/thread_pool.h"
-
 namespace mlperf::parallel {
+
+class ThreadPool;
 
 /// Intra-op parallelism knob. `n` counts the threads doing tensor work, the
 /// calling thread included: the global pool then holds n - 1 workers. 1 (the
@@ -18,9 +17,19 @@ namespace mlperf::parallel {
 void set_num_threads(std::int64_t n);
 std::int64_t num_threads();
 
-/// The process-wide pool backing parallel_for and the prefetching data
-/// loader. nullptr while num_threads() <= 1.
+/// The process-wide pool backing parallel_for. nullptr while
+/// num_threads() <= 1.
 ThreadPool* global_pool();
+
+namespace detail {
+
+using RangeFn = void (*)(const void* fn, std::int64_t begin, std::int64_t end);
+
+/// parallel_for with the callable erased to (body, fn): partitions the range
+/// and runs body(fn, begin, end) on the parts through the global pool.
+void parallel_for(std::int64_t grain, std::int64_t range, RangeFn body, const void* fn);
+
+}  // namespace detail
 
 /// Invoke fn(begin, end) on disjoint contiguous subranges covering
 /// [0, range), in parallel on the global pool.
@@ -39,8 +48,16 @@ ThreadPool* global_pool();
 /// rethrown on the calling thread. Runs inline when the pool is absent, when
 /// only one subrange exists, or when already inside a parallel_for part or
 /// on a pool worker (nested parallelism).
-void parallel_for(std::int64_t grain, std::int64_t range,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
+template <typename Fn>
+void parallel_for(std::int64_t grain, std::int64_t range, const Fn& fn) {
+  if (range <= 0) return;
+  detail::parallel_for(
+      grain, range,
+      [](const void* f, std::int64_t begin, std::int64_t end) {
+        (*static_cast<const Fn*>(f))(begin, end);
+      },
+      &fn);
+}
 
 /// Deterministic ordered reduction over [0, range).
 ///

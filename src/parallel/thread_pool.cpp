@@ -49,20 +49,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) throw std::logic_error("ThreadPool: enqueue after shutdown");
-    queue_.push_back(std::move(task));
-    queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::run(std::int64_t parts, PartFn body, const void* ctx) {
   std::unique_lock<std::mutex> job;
   if (!workers_.empty() && !on_worker_thread())
@@ -134,33 +120,16 @@ void ThreadPool::run_parts() {
   }
 }
 
-bool ThreadPool::run_one_task() {
-  if (queued_.load(std::memory_order_relaxed) == 0) return false;
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  task();
-  return true;
-}
-
 void ThreadPool::worker_loop() {
   t_on_worker = true;
   std::uint64_t seen = 0;  // epoch of the last job this worker joined
-  auto has_work = [&] {
-    return has_new_job(seen) || queued_.load(std::memory_order_relaxed) > 0 || stop_;
-  };
+  auto has_work = [&] { return has_new_job(seen) || stop_; };
   for (;;) {
     if (has_new_job(seen)) {
       join_job(seen);
       continue;
     }
-    if (run_one_task()) continue;
-    if (stop_ && queued_.load(std::memory_order_relaxed) == 0) return;  // drained
+    if (stop_) return;
 
     // Spin for the budget, reading the clock only every 64 polls.
     const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;

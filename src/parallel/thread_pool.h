@@ -4,27 +4,24 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace mlperf::parallel {
 
-/// Fixed-size pool of worker threads serving two kinds of work: fork-join
-/// jobs (`run`, behind parallel_for) and a FIFO of fire-and-forget tasks
-/// (`enqueue`, behind the prefetching data loader).
+/// Fixed-size pool of worker threads serving one kind of work: fork-join
+/// jobs (`run`, behind parallel_for).
 ///
-/// A fork-join job is `parts` calls body(ctx, p). The caller publishes the job
-/// with one atomic epoch bump, then it and every idle worker claim part
-/// indices from one atomic counter until none are left, so the caller always
-/// does work itself and a worker busy with a loader task never stalls a job:
-/// its share is simply claimed by someone else. Which thread runs which part
-/// is therefore scheduling-dependent, and all determinism guarantees in this
-/// module come from *what* each part computes (static chunking, ordered
-/// combines), never from scheduling.
+/// A job is `parts` calls body(ctx, p). The caller publishes the job with one
+/// atomic epoch bump, then it and every idle worker claim part indices from
+/// one atomic counter until none are left, so the caller always does work
+/// itself and a worker that wakes late never stalls a job: its share is simply
+/// claimed by someone else. Which thread runs which part is therefore
+/// scheduling-dependent, and all determinism guarantees in this module come
+/// from *what* each part computes (static chunking, ordered combines), never
+/// from scheduling.
 ///
 /// Idle workers spin for kSpinBudget before parking on a condition variable.
 /// The budget covers the serial gap between two consecutive parallel ops of a
@@ -38,23 +35,17 @@ class ThreadPool {
  public:
   using PartFn = void (*)(const void* ctx, std::int64_t part);
 
-  /// Spawns `num_workers` threads (0 is allowed: enqueue and run then execute
-  /// inline on the caller).
+  /// Spawns `num_workers` threads (0 is allowed: run then executes inline on
+  /// the caller).
   explicit ThreadPool(std::int64_t num_workers);
 
-  /// Drains the task queue, then joins all workers. No job may be in flight.
+  /// Joins all workers. No job may be in flight.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::int64_t num_workers() const { return static_cast<std::int64_t>(workers_.size()); }
-
-  /// Enqueue a task. With zero workers the task runs inline on the caller.
-  /// Tasks must not throw — callers that need error propagation (the
-  /// prefetching loader) catch inside the task and surface the exception on
-  /// the consuming thread.
-  void enqueue(std::function<void()> task);
 
   /// Fork-join: call body(ctx, p) exactly once for every p in [0, parts), the
   /// caller participating, and return once all calls have finished. Every
@@ -70,7 +61,7 @@ class ThreadPool {
   /// parallelism inline instead of waiting on its own pool.
   static bool on_worker_thread();
 
-  /// How long an idle worker keeps polling for a job or task before it parks.
+  /// How long an idle worker keeps polling for a job before it parks.
   static constexpr std::chrono::microseconds kSpinBudget{100};
 
  private:
@@ -81,7 +72,6 @@ class ThreadPool {
   void join_job(std::uint64_t& seen);
   /// Claims and runs parts of the current job until the counter runs out.
   void run_parts();
-  bool run_one_task();
 
   // The job slot. Only the holder of job_mu_ writes parts_/body_/ctx_, and
   // only while epoch_ is odd and no worker is registered in users_.
@@ -96,11 +86,9 @@ class ThreadPool {
   std::exception_ptr error_;
   std::int64_t error_part_ = 0;
 
-  // The task queue, and parking for idle workers.
-  std::mutex mu_;  // guards queue_ and the parking condition
+  // Parking for idle workers.
+  std::mutex mu_;  // guards the parking condition
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  std::atomic<std::int64_t> queued_{0};  // queue_.size(), readable without mu_
   std::atomic<std::int64_t> parked_{0};
   std::atomic<bool> stop_{false};
   std::vector<std::thread> workers_;

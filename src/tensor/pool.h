@@ -20,10 +20,13 @@ namespace mlperf::tensor {
 /// Two-level structure:
 ///   - buckets below kSharedBucketFloats use per-thread free lists (no
 ///     locking on the hot path; overflow past kTlsMaxPerBucket spills to the
-///     shared list, and a dying thread's cache is spilled too);
+///     shared list, and a dying thread's cache is spilled too, so the
+///     prefetching loader's one-batch std::async threads hand their
+///     augmentation temporaries on to the next batch's thread);
 ///   - larger buckets go straight to a mutex-guarded shared list, so buffers
 ///     produced on one thread and freed on another (the prefetching loader's
-///     batch images) still recycle instead of missing every time.
+///     batch images, assembled on a producer thread and freed by the
+///     consumer) still recycle instead of missing every time.
 ///
 /// The pool only changes where storage comes from, never what is in it:
 /// Tensor's fill semantics are applied after acquisition, so numerics are

@@ -138,12 +138,13 @@ std::vector<std::int64_t> Tensor::strides() const {
 
 std::int64_t Tensor::offset(std::initializer_list<std::int64_t> idx) const {
   if (static_cast<std::int64_t>(idx.size()) != ndim()) fail("offset(): rank mismatch");
-  const auto st = strides();
+  // Horner's rule over the row-major strides: no strides() vector per call,
+  // which per-pixel callers (augmentation, mask crops) would pay per element.
   std::int64_t off = 0;
   std::size_t d = 0;
   for (auto i : idx) {
     if (i < 0 || i >= shape_[d]) fail("offset(): index out of range");
-    off += i * st[d];
+    off = off * shape_[d] + i;
     ++d;
   }
   return off;

@@ -568,6 +568,58 @@ TEST(Resume, ResnetSurvivesMultipleRestarts) {
       << "multi-restart final weights differ bitwise from the uninterrupted run";
 }
 
+// The prefetching loader has a batch in flight on its own thread while a
+// step trains; a checkpoint drains it first. Kill-and-resume at 4 threads
+// must still reproduce the uninterrupted run bitwise.
+TEST(Resume, PrefetchingResnetAtFourThreadsResumesIdentically) {
+  const core::SuiteVersion suite = core::suite_v05();
+  const core::BenchmarkSpec& spec =
+      core::find_spec(suite, BenchmarkId::kImageClassification);
+  const core::QualityMetric target = harness::scaled_target(spec, WorkloadScale::kSmoke);
+  core::SteadyClock clock;
+  // The smoke-scale reference config with the prefetching loader switched on.
+  auto make = [] {
+    models::ResNetWorkload::Config c;
+    c.dataset.height = 8;
+    c.dataset.width = 8;
+    c.dataset.num_classes = 4;
+    c.dataset.train_size = 128;
+    c.dataset.val_size = 64;
+    c.dataset.noise = 0.25f;
+    c.model.num_classes = 4;
+    c.model.stage_channels = {6, 8};
+    c.prefetch_loader = true;
+    return std::make_unique<models::ResNetWorkload>(c);
+  };
+
+  RunOptions opts;
+  opts.seed = 21;
+  opts.max_epochs = 40;
+  opts.num_threads = 4;
+  auto baseline_w = make();
+  const RunOutcome baseline = harness::run_to_target(*baseline_w, target, opts, clock);
+  ASSERT_TRUE(baseline.quality_reached);
+  ASSERT_GT(baseline.epochs, 2) << "smoke run too short to preempt after epoch 2";
+
+  RunOptions faulted = opts;
+  faulted.checkpoint_every_n_epochs = 1;
+  faulted.checkpoint_path = tmp_path("resume_resnet_prefetch_t4.ckpt");
+  faulted.fault.kill_after_epoch = 2;
+  std::unique_ptr<models::ResNetWorkload> current;
+  const RunOutcome resumed = harness::run_with_restarts(
+      [&] {
+        current = make();
+        return current.get();
+      },
+      target, faulted, clock);
+
+  EXPECT_EQ(resumed.restarts, 1);
+  EXPECT_EQ(resumed.resumed_from_epoch, 2);
+  EXPECT_EQ(resumed.epochs, baseline.epochs);
+  EXPECT_EQ(harness::outcome_fingerprint(resumed), harness::outcome_fingerprint(baseline));
+  EXPECT_EQ(hash_module(*current->model()), hash_module(*baseline_w->model()));
+}
+
 // ---------------------------------------------------------------------------
 // Loud rejection of unusable checkpoints (never silently loaded)
 // ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
+
+#include "parallel/parallel_for.h"
 
 namespace mlperf::data {
 namespace {
@@ -246,6 +250,85 @@ TEST(Loader, PrefetchWithoutAugmentMatchesInlineLoader) {
     for (std::int64_t i = 0; i < a.images.numel(); ++i) EXPECT_EQ(a.images[i], b.images[i]);
   }
   EXPECT_FALSE(prefetch_loader.has_next());
+}
+
+/// Prefetch tests that change the thread count restore the default after.
+class PrefetchLoader : public ::testing::Test {
+ protected:
+  void TearDown() override { parallel::set_num_threads(1); }
+};
+
+/// Passes images through unchanged, except that call number `fail_at`
+/// (counting from 0 across all batches) throws.
+class FailingAugmentation final : public Augmentation {
+ public:
+  explicit FailingAugmentation(int fail_at) : fail_at_(fail_at) {}
+  Tensor apply(const Tensor& img, Rng&) const override {
+    if (calls_.fetch_add(1) == fail_at_) throw std::runtime_error("augmentation failed");
+    return img;
+  }
+  std::string name() const override { return "failing"; }
+
+ private:
+  int fail_at_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST_F(PrefetchLoader, AugmentationErrorSurfacesFromNext) {
+  SyntheticImageDataset::Config cfg;
+  cfg.train_size = 12;
+  SyntheticImageDataset ds(cfg);
+  ReformattedSplits splits = reformat(ds);
+  for (std::int64_t threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    AugmentationPipeline aug;
+    aug.add(std::make_unique<FailingAugmentation>(5));  // 2nd example of batch 2
+    Rng rng(41);
+    ImageLoader loader(splits.train, 4, &aug, rng, /*drop_last=*/false, /*prefetch=*/true);
+    EXPECT_EQ(loader.next().labels.size(), 4u);
+    EXPECT_THROW(loader.next(), std::runtime_error) << "threads=" << threads;
+    // Batch 3 is in flight here; destroying the loader waits for it.
+  }
+}
+
+TEST_F(PrefetchLoader, RestartAndDestroyWithBatchInFlight) {
+  SyntheticImageDataset::Config cfg;
+  cfg.train_size = 24;
+  SyntheticImageDataset ds(cfg);
+  ReformattedSplits splits = reformat(ds);
+  const AugmentationPipeline aug = AugmentationPipeline::reference_image_pipeline();
+  std::multiset<std::int64_t> all_labels;
+  for (std::int64_t i = 0; i < splits.train.size(); ++i)
+    all_labels.insert(splits.train.get(i).label);
+
+  // Abandon three epochs mid-way, each with its next batch being assembled,
+  // then return one full epoch; the last loader dies with a batch in flight.
+  auto run = [&](std::int64_t threads) {
+    parallel::set_num_threads(threads);
+    Rng rng(43);
+    ImageLoader loader(splits.train, 4, &aug, rng, /*drop_last=*/false, /*prefetch=*/true);
+    for (int restart = 0; restart < 3; ++restart) {
+      loader.next();
+      loader.start_epoch();
+    }
+    std::vector<ImageBatch> epoch;
+    while (loader.has_next()) epoch.push_back(loader.next());
+    loader.start_epoch();
+    loader.next();
+    return epoch;
+  };
+
+  const std::vector<ImageBatch> ref = run(1);
+  ASSERT_EQ(ref.size(), 6u);
+  std::multiset<std::int64_t> seen;
+  for (const ImageBatch& b : ref) seen.insert(b.labels.begin(), b.labels.end());
+  EXPECT_EQ(seen, all_labels);
+  const std::vector<ImageBatch> got = run(4);
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(got[i].labels, ref[i].labels);
+    EXPECT_EQ(got[i].images.vec(), ref[i].images.vec());
+  }
 }
 
 TEST(Loader, ReshufflesBetweenEpochs) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -33,36 +34,50 @@ class ParallelTest : public ::testing::Test {
   void TearDown() override { set_num_threads(1); }
 };
 
-TEST_F(ParallelTest, PoolRunsEnqueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.num_workers(), 3);
-    for (int i = 0; i < 64; ++i)
-      pool.enqueue([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }  // destructor drains the queue before joining
-  EXPECT_EQ(ran.load(), 64);
-}
+/// Context of a ThreadPool::run job that records, per part, the thread that
+/// ran it and whether ThreadPool::on_worker_thread() held there. Every part
+/// first waits until `barrier` parts have started, so with barrier == parts
+/// each of the job's threads runs exactly one part.
+struct PartLog {
+  std::int64_t barrier = 0;
+  std::atomic<std::int64_t> started{0};
+  std::mutex mu;  // guards the vectors below
+  std::vector<std::int64_t> parts;
+  std::vector<std::thread::id> threads;
+  std::vector<bool> on_worker;
+
+  static void record(const void* ctx, std::int64_t p) {
+    auto& log = *static_cast<PartLog*>(const_cast<void*>(ctx));
+    log.started.fetch_add(1);
+    while (log.started.load() < log.barrier) std::this_thread::yield();
+    std::lock_guard<std::mutex> lock(log.mu);
+    log.parts.push_back(p);
+    log.threads.push_back(std::this_thread::get_id());
+    log.on_worker.push_back(ThreadPool::on_worker_thread());
+  }
+};
 
 TEST_F(ParallelTest, ZeroWorkerPoolRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0);
-  bool ran = false;
-  pool.enqueue([&ran] { ran = true; });
-  EXPECT_TRUE(ran);  // no workers -> enqueue executes on the caller
+  PartLog log;
+  pool.run(3, &PartLog::record, &log);
+  // No workers -> every part runs on the caller, in ascending order.
+  EXPECT_EQ(log.parts, (std::vector<std::int64_t>{0, 1, 2}));
+  for (const std::thread::id& t : log.threads) EXPECT_EQ(t, std::this_thread::get_id());
 }
 
 TEST_F(ParallelTest, OnWorkerThreadFlag) {
   EXPECT_FALSE(ThreadPool::on_worker_thread());
-  std::atomic<bool> on_worker{false};
-  std::atomic<bool> done{false};
   ThreadPool pool(1);
-  pool.enqueue([&] {
-    on_worker.store(ThreadPool::on_worker_thread());
-    done.store(true);
-  });
-  while (!done.load()) {}
-  EXPECT_TRUE(on_worker.load());
+  PartLog log;
+  log.barrier = 2;
+  pool.run(2, &PartLog::record, &log);
+  // One part ran on the worker and one on the caller; both threads count as
+  // pool threads while they run a part, so nested parallel_for runs inline.
+  ASSERT_EQ(log.threads.size(), 2u);
+  EXPECT_NE(log.threads[0], log.threads[1]);
+  EXPECT_EQ(log.on_worker, (std::vector<bool>{true, true}));
   EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 

@@ -38,6 +38,29 @@ TEST(TensorBasics, AtIndexing) {
   EXPECT_EQ(t.at({0, 2}), 2.0f);
   EXPECT_EQ(t.at({1, 0}), 3.0f);
   EXPECT_EQ(t.at({1, 2}), 5.0f);
+
+  // Ranks 1-4 against the row-major formula: element i holds the value i.
+  auto iota = [](const Shape& shape) {
+    Tensor r(shape);
+    for (std::int64_t i = 0; i < r.numel(); ++i) r.data()[i] = static_cast<float>(i);
+    return r;
+  };
+  const Tensor r1 = iota({5});
+  for (std::int64_t a = 0; a < 5; ++a) EXPECT_EQ(r1.at({a}), static_cast<float>(a));
+  const Tensor r3 = iota({2, 3, 4});
+  for (std::int64_t a = 0; a < 2; ++a)
+    for (std::int64_t b = 0; b < 3; ++b)
+      for (std::int64_t c = 0; c < 4; ++c)
+        EXPECT_EQ(r3.at({a, b, c}), static_cast<float>((a * 3 + b) * 4 + c));
+  Tensor r4 = iota({2, 3, 4, 5});
+  for (std::int64_t a = 0; a < 2; ++a)
+    for (std::int64_t b = 0; b < 3; ++b)
+      for (std::int64_t c = 0; c < 4; ++c)
+        for (std::int64_t e = 0; e < 5; ++e) {
+          const std::int64_t flat = ((a * 3 + b) * 4 + c) * 5 + e;
+          EXPECT_EQ(r4.offset({a, b, c, e}), flat);
+          EXPECT_EQ(r4.at({a, b, c, e}), static_cast<float>(flat));
+        }
 }
 
 TEST(TensorBasics, AtOutOfRangeThrows) {
