@@ -78,7 +78,8 @@ static void gemm_shape_body(benchmark::State& state, bool use_ref) {
     if (use_ref)
       tensor::gemm_accumulate_ref(a.data(), b.data(), c.data(), m, k, n);
     else
-      tensor::gemm_accumulate(a.data(), b.data(), c.data(), m, k, n);
+      tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, m, n, k, a.data(), k, b.data(),
+                              n, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
@@ -215,13 +216,13 @@ static void BM_Conv2dDw(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dDw)->Arg(8)->Arg(16);
 
-// Full conv train step with the step-scoped im2col pack cache off (Arg 0) and
-// on (Arg 1). Doubles as the CI smoke check of the cache contract: the run
-// errors out unless im2col_calls() advanced by exactly one sweep per step
-// cached and two uncached.
+// Full conv train step with the step-scoped im2col pack cache off (Arg 0:
+// cap 0) and on (Arg 1: the default cap). Doubles as the CI smoke check of
+// the cache contract: the run errors out unless im2col_calls() advanced by
+// exactly one sweep per step cached and two uncached.
 static void BM_Im2colPackCache(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
-  nn::set_conv_pack_cache(cached);
+  nn::set_conv_pack_cache_cap(cached ? nn::kDefaultConvPackCacheCapBytes : 0);
   Rng rng(14);
   Tensor x = Tensor::randn({4, 8, 16, 16}, rng);
   Tensor w = Tensor::randn({8, 8, 3, 3}, rng);
@@ -237,7 +238,7 @@ static void BM_Im2colPackCache(benchmark::State& state) {
   const std::int64_t sweeps = nn::im2col_calls() - calls0;
   if (sweeps != (cached ? steps : 2 * steps))
     state.SkipWithError("im2col_calls() violates the pack-cache contract");
-  nn::set_conv_pack_cache(true);
+  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
 }
 BENCHMARK(BM_Im2colPackCache)->Arg(0)->Arg(1);
 

@@ -14,14 +14,12 @@
 //   --resume_from=FILE             resume a preempted run from this checkpoint
 //   --kill_after_epoch=K           fault injection: SIGKILL after epoch K
 //                                  (for crash-resume testing; exits 137)
-//   --pool_stats                   print tensor-pool counters after the run;
-//                                  CI greps the steady-state miss line
+//   --pool_stats                   print tensor-pool counters and im2col
+//                                  sweeps after the run; CI greps the
+//                                  steady-state miss and pack-cache lines
 //   --op_profile                   per-op cumulative time profile: prints one
 //                                  line per instrumented op after the run
 //                                  (also emitted as op_profile log events)
-//   --conv_pack_cache=0|1          step-scoped im2col pack cache (default 1);
-//                                  CI greps the im2col_calls line to pin the
-//                                  one-sweep-per-conv-layer-per-step contract
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +43,6 @@ int main(int argc, char** argv) {
   long kill_after_epoch = -1;
   bool pool_stats = false;
   bool op_profile = false;
-  bool conv_pack_cache = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto flag_value = [&](const char* name) -> std::optional<std::string> {
@@ -65,8 +62,6 @@ int main(int argc, char** argv) {
       pool_stats = true;
     } else if (arg == "--op_profile") {
       op_profile = true;
-    } else if (auto v = flag_value("conv_pack_cache")) {
-      conv_pack_cache = std::strtol(v->c_str(), nullptr, 10) != 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
       return 1;
@@ -126,8 +121,6 @@ int main(int argc, char** argv) {
     std::printf("fault injection armed: SIGKILL after epoch %ld\n", kill_after_epoch);
   }
   opts.op_profile = op_profile;
-  opts.conv_pack_cache = conv_pack_cache;
-  if (!conv_pack_cache) std::printf("im2col pack cache disabled\n");
   std::printf("intra-op threads: %lld\n\n", static_cast<long long>(opts.num_threads));
   const harness::RunOutcome out =
       harness::run_to_target(*workload, spec.mini_quality, opts);
@@ -173,11 +166,10 @@ int main(int argc, char** argv) {
     // iteration mean an allocation crept back into the steady-state loop.
     std::printf("steady-state pool misses after warm-up: %lld\n",
                 static_cast<long long>(out.pool_steady_misses));
-    // The pack-cache contract line CI greps: with the cache on, every conv
-    // train step costs one im2col sweep per conv layer; uncached, two.
-    std::printf("im2col sweeps: %lld (pack cache %s, %lld bytes live)\n",
+    // The pack-cache line CI greps: the cached slabs are released with
+    // each step's graph, so none may be live once the run is over.
+    std::printf("im2col sweeps: %lld (pack cache: %lld bytes live)\n",
                 static_cast<long long>(nn::im2col_calls()),
-                nn::conv_pack_cache_enabled() ? "on" : "off",
                 static_cast<long long>(nn::conv_pack_cache_live_bytes()));
   }
   if (op_profile) {

@@ -97,22 +97,4 @@ ImageBatch ImageLoader::next() {
   return batch;
 }
 
-ImageBatch make_batch(const std::vector<const ImageExample*>& examples) {
-  if (examples.empty()) throw std::invalid_argument("make_batch: empty");
-  const auto& ishape = examples[0]->image.shape();
-  const std::int64_t n = static_cast<std::int64_t>(examples.size());
-  ImageBatch batch;
-  // Fully overwritten by the copies below — pooled, no zero-fill.
-  batch.images = Tensor::uninitialized({n, ishape[0], ishape[1], ishape[2]});
-  batch.labels.resize(examples.size());
-  const std::int64_t img_numel = examples[0]->image.numel();
-  for (std::int64_t b = 0; b < n; ++b) {
-    const auto* ex = examples[static_cast<std::size_t>(b)];
-    std::copy(ex->image.vec().begin(), ex->image.vec().end(),
-              batch.images.vec().begin() + b * img_numel);
-    batch.labels[static_cast<std::size_t>(b)] = ex->label;
-  }
-  return batch;
-}
-
 }  // namespace mlperf::data

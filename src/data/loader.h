@@ -49,8 +49,6 @@ class ImageLoader {
 
   std::int64_t batches_per_epoch() const;
 
-  bool prefetch_enabled() const { return prefetch_; }
-
   /// ---- checkpoint support -----------------------------------------------
   /// Block until any in-flight prefetched batch has been fully assembled
   /// (the batch stays pending for the next next()). A checkpoint must drain
@@ -97,8 +95,5 @@ class ImageLoader {
   // members above.
   std::future<ImageBatch> inflight_;
 };
-
-/// Assemble a batch tensor from (already augmented) examples.
-ImageBatch make_batch(const std::vector<const ImageExample*>& examples);
 
 }  // namespace mlperf::data

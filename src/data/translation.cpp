@@ -98,19 +98,4 @@ std::vector<TranslationBatch> shuffled_bucket_batches(const SyntheticTranslation
   return batches;
 }
 
-std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t* out_len) {
-  std::int64_t max_len = 0;
-  for (const auto& s : seqs)
-    max_len = std::max(max_len, static_cast<std::int64_t>(s.size()));
-  std::vector<TokenSeq> out;
-  out.reserve(seqs.size());
-  for (const auto& s : seqs) {
-    TokenSeq padded = s;
-    padded.resize(static_cast<std::size_t>(max_len), kPad);
-    out.push_back(std::move(padded));
-  }
-  if (out_len) *out_len = max_len;
-  return out;
-}
-
 }  // namespace mlperf::data

@@ -93,7 +93,4 @@ std::vector<TranslationBatch> shuffled_bucket_batches(const SyntheticTranslation
                                                       LengthBuckets& buckets,
                                                       std::int64_t batch_size, tensor::Rng& rng);
 
-/// Pad a batch of sequences to the max length with kPad; returns [B, T] ids.
-std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t* out_len);
-
 }  // namespace mlperf::data

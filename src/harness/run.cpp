@@ -6,7 +6,6 @@
 #include "checkpoint/format.h"
 #include "checkpoint/state.h"
 #include "core/op_profile.h"
-#include "nn/functional.h"
 #include "parallel/parallel_for.h"
 #include "tensor/pool.h"
 #include "tensor/rng.h"
@@ -15,6 +14,9 @@ namespace mlperf::harness {
 
 RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& target,
                          const RunOptions& options, const core::Clock& clock) {
+  if (options.eval_interval < 1)
+    throw std::invalid_argument("run_to_target: eval_interval must be >= 1, got " +
+                                std::to_string(options.eval_interval));
   const bool checkpointing = options.checkpoint_every_n_epochs > 0;
   if (checkpointing && options.checkpoint_path.empty())
     throw std::invalid_argument(
@@ -24,7 +26,6 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
                            "' does not support checkpointing");
 
   parallel::set_num_threads(options.num_threads);
-  nn::set_conv_pack_cache(options.conv_pack_cache, options.conv_pack_cache_cap_bytes);
   if (options.op_profile) core::OpProfile::reset();
   core::OpProfile::set_enabled(options.op_profile);
   RunOutcome outcome;

@@ -62,7 +62,7 @@ struct RunOptions {
   std::int64_t max_epochs = 64;          ///< safety bound; quality should hit first
   double model_creation_cap_ms = 20.0 * 60.0 * 1000.0;  ///< paper: 20 min
   /// Evaluate every N epochs (quality is "evaluated at prescribed
-  /// intervals", §4.1). 1 = every epoch.
+  /// intervals", §4.1). 1 = every epoch; below 1 is rejected.
   std::int64_t eval_interval = 1;
   /// Intra-op threads for the tensor kernels (parallel::set_num_threads);
   /// above 1 the prefetching loader also assembles batches on a thread of
@@ -83,12 +83,6 @@ struct RunOptions {
   /// reported time-to-train spans the whole preempt/restart history.
   std::string resume_from;
   FaultPlan fault;
-  /// Step-scoped im2col pack cache (nn::set_conv_pack_cache): conv2d forward
-  /// keeps its patch slabs alive for the dW backward instead of re-running
-  /// im2col. Purely a memory/speed knob — gradients are bitwise identical
-  /// either way — capped at `conv_pack_cache_cap_bytes` of live slabs.
-  bool conv_pack_cache = true;
-  std::int64_t conv_pack_cache_cap_bytes = std::int64_t{256} << 20;
   /// Reset and enable the per-op time profile (core::OpProfile) for this run
   /// and emit one `op_profile` mlog event per instrumented op at run_stop.
   bool op_profile = false;

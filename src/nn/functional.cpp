@@ -102,8 +102,7 @@ void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride
 // ---- step-scoped im2col pack cache -----------------------------------------
 
 std::atomic<std::int64_t> g_im2col_calls{0};
-std::atomic<bool> g_pack_cache_enabled{true};
-std::atomic<std::int64_t> g_pack_cache_cap{std::int64_t{256} << 20};
+std::atomic<std::int64_t> g_pack_cache_cap{kDefaultConvPackCacheCapBytes};
 std::atomic<std::int64_t> g_pack_cache_live{0};
 
 // One forward's im2col patch slabs, [N, col_rows*col_cols]. The backward
@@ -119,15 +118,8 @@ struct PackCache {
 
 }  // namespace
 
-void set_conv_pack_cache(bool enabled, std::int64_t cap_bytes) {
-  g_pack_cache_enabled.store(enabled, std::memory_order_relaxed);
+void set_conv_pack_cache_cap(std::int64_t cap_bytes) {
   g_pack_cache_cap.store(cap_bytes, std::memory_order_relaxed);
-}
-
-bool conv_pack_cache_enabled() { return g_pack_cache_enabled.load(std::memory_order_relaxed); }
-
-std::int64_t conv_pack_cache_cap_bytes() {
-  return g_pack_cache_cap.load(std::memory_order_relaxed);
 }
 
 std::int64_t conv_pack_cache_live_bytes() {
@@ -151,8 +143,7 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
   // slab would push the global live total past the cap just runs uncached,
   // and so does every op under a NoGradGuard: no backward will run.
   std::shared_ptr<PackCache> cache;
-  if (weight.requires_grad() && autograd::grad_enabled() &&
-      g_pack_cache_enabled.load(std::memory_order_relaxed)) {
+  if (weight.requires_grad() && autograd::grad_enabled()) {
     const std::int64_t bytes =
         d.n * col_rows * col_cols * static_cast<std::int64_t>(sizeof(float));
     if (g_pack_cache_live.load(std::memory_order_relaxed) + bytes <=

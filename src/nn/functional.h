@@ -43,22 +43,22 @@ autograd::Variable fused_scaled_softmax(const autograd::Variable& scores, float 
 
 // ---- conv pack cache & diagnostics -----------------------------------------
 
-/// Step-scoped im2col pack cache knob. When enabled (the default), conv2d's
-/// forward keeps its per-sample im2col patch slabs alive in a pooled Tensor
-/// owned by the backward closure — Variable::backward()'s graph teardown (or
-/// graph destruction) releases it at the end of the step — so the dW pass
-/// skips the per-sample re-pack. A conv op whose slab would push the global
-/// live total past `cap_bytes` simply falls back to the re-pack path.
-void set_conv_pack_cache(bool enabled, std::int64_t cap_bytes = std::int64_t{256} << 20);
-bool conv_pack_cache_enabled();
-std::int64_t conv_pack_cache_cap_bytes();
+/// Step-scoped im2col pack cache. conv2d's forward keeps its per-sample
+/// im2col patch slabs alive in a pooled Tensor owned by the backward closure
+/// — Variable::backward()'s graph teardown (or graph destruction) releases
+/// it at the end of the step — so the dW pass skips the per-sample re-pack.
+/// A conv op whose slab would push the global live total past the cap falls
+/// back to the re-pack path; a cap of 0 sends every conv there. Gradients
+/// are bitwise identical either way.
+inline constexpr std::int64_t kDefaultConvPackCacheCapBytes = std::int64_t{256} << 20;
+void set_conv_pack_cache_cap(std::int64_t cap_bytes);
 /// Bytes of cached patch slabs currently live (forwards whose backward has not
 /// yet run/torn down). Returns to 0 once all conv graphs of a step are freed.
 std::int64_t conv_pack_cache_live_bytes();
 /// Diagnostic counter: cumulative batched im2col sweeps (one per conv2d
-/// forward, plus one per dW backward that had to re-pack because the cache
-/// was off or over cap). With the cache on, a train step costs exactly one
-/// sweep per conv layer; uncached, two. Pinned in tests/test_autograd.cpp.
+/// forward, plus one per dW backward that had to re-pack because its conv
+/// was over the cap). Under the cap, a train step costs exactly one sweep
+/// per conv layer; over it, two. Pinned in tests/test_autograd.cpp.
 std::int64_t im2col_calls();
 
 // ---- losses ----------------------------------------------------------------

@@ -137,11 +137,6 @@ void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::in
   gemm_packed(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
-                     std::int64_t n) {
-  gemm_accumulate(Trans::N, Trans::N, m, n, k, a, k, b, n, c, n);
-}
-
 void gemm_accumulate_ref(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
                          std::int64_t n) {
   // i-k-j loop order: unit-stride inner loop over both B and C rows. One

@@ -47,11 +47,6 @@ void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::in
                      const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                      std::int64_t ldc);
 
-/// Back-compat entry point: C[m,n] += A[m,k] * B[k,n], all contiguous
-/// row-major. Bitwise identical to gemm_accumulate_ref (see below).
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
-                     std::int64_t n);
-
 /// The pre-PR2 scalar kernel, retained as the numerics reference: blocked
 /// i-k-j loops, one accumulator per C element, ascending k. The packed
 /// kernel keeps exactly this per-element accumulation order, so the

@@ -87,7 +87,7 @@ void TensorPool::spill(ThreadCache& tc) noexcept {
 }
 
 std::vector<float> TensorPool::acquire(std::int64_t n) {
-  if (n <= 0 || !enabled_.load(std::memory_order_relaxed)) return {};
+  if (n <= 0) return {};
   const std::int64_t bucket = bucket_for(n);
   const int idx = index_of_bucket(bucket);
   if (idx >= kNumBuckets) return {};
@@ -125,8 +125,7 @@ std::vector<float> TensorPool::acquire(std::int64_t n) {
 
 void TensorPool::release(std::vector<float>&& buf) noexcept {
   const std::int64_t cap = static_cast<std::int64_t>(buf.capacity());
-  if (cap < kMinBucketFloats || !enabled_.load(std::memory_order_relaxed))
-    return;  // freed by the caller's vector destructor
+  if (cap < kMinBucketFloats) return;  // freed by the caller's vector destructor
   // Park under the largest bucket the capacity covers, so every buffer in
   // bucket i has capacity >= kMinBucketFloats << i. Donated buffers (adopted
   // vectors that never came from acquire) round down and recycle too.

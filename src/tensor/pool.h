@@ -57,12 +57,12 @@ class TensorPool {
   /// Fetch storage with capacity() >= bucket_for(n). The contents and size()
   /// are unspecified (recycled buffers keep their old size); the caller
   /// assigns or resizes before use. Returns an empty, capacity-0 vector when
-  /// the pool is disabled or the request is unpoolable — the caller's
-  /// assign/resize then allocates from the heap as before.
+  /// the request is unpoolable — the caller's assign/resize then allocates
+  /// from the heap as before.
   std::vector<float> acquire(std::int64_t n);
 
   /// Park a buffer on the free list for its capacity's bucket. Buffers with
-  /// capacity below kMinBucketFloats (or when disabled) are simply freed.
+  /// capacity below kMinBucketFloats are simply freed.
   void release(std::vector<float>&& buf) noexcept;
 
   Stats stats() const;
@@ -70,11 +70,6 @@ class TensorPool {
   /// Drop cached buffers: the shared lists and the calling thread's lists
   /// immediately, other threads' lists lazily on their next pool touch.
   void trim();
-
-  /// Disabling makes acquire/release no-ops (plain heap behaviour) without
-  /// touching already-cached buffers; call trim() to drop those too.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   static constexpr std::int64_t kMinBucketFloats = 64;
   /// Buckets >= this many floats (64 KiB) skip the thread-local tier.
@@ -96,7 +91,6 @@ class TensorPool {
   void refresh(ThreadCache& tc);
   void spill(ThreadCache& tc) noexcept;
 
-  std::atomic<bool> enabled_{true};
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> releases_{0};

@@ -1,7 +1,6 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -223,18 +222,6 @@ Tensor Tensor::permute(const std::vector<std::int64_t>& dims) const {
     }
   });
   return out;
-}
-
-namespace {
-std::atomic<std::int64_t> g_transpose2d_calls{0};
-}  // namespace
-
-std::int64_t transpose2d_calls() { return g_transpose2d_calls.load(std::memory_order_relaxed); }
-
-Tensor Tensor::transpose2d() const {
-  if (ndim() != 2) fail("transpose2d(): expects rank 2");
-  g_transpose2d_calls.fetch_add(1, std::memory_order_relaxed);
-  return permute({1, 0});
 }
 
 Tensor Tensor::slice0(std::int64_t begin, std::int64_t end) const {

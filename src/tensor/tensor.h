@@ -90,8 +90,6 @@ class Tensor {
   Tensor reshape(Shape new_shape) const;
   /// Permute dimensions, e.g. permute({1,0}) is a 2-D transpose.
   Tensor permute(const std::vector<std::int64_t>& dims) const;
-  /// 2-D transpose convenience.
-  Tensor transpose2d() const;
   /// Slice along dim 0: rows [begin, end).
   Tensor slice0(std::int64_t begin, std::int64_t end) const;
   /// Concatenate along dim 0 (all other extents must match).
@@ -239,10 +237,5 @@ class Tensor {
   static std::int64_t shape_numel(const Shape& s);
   std::vector<std::int64_t> strides() const;
 };
-
-/// Diagnostic counter: number of transpose2d() materializations performed by
-/// this process so far. Tests use it to pin the transpose-free backward
-/// contract (matmul/conv2d backward must not copy-transpose operands).
-std::int64_t transpose2d_calls();
 
 }  // namespace mlperf::tensor

@@ -293,7 +293,7 @@ std::uint64_t fnv_tensor(const Tensor& t, std::uint64_t h) {
 // and gradient after each step so a single bit of divergence anywhere in the
 // trajectory changes the hash.
 std::uint64_t conv_train_fingerprint(bool cache_on, int threads) {
-  nn::set_conv_pack_cache(cache_on);
+  nn::set_conv_pack_cache_cap(cache_on ? nn::kDefaultConvPackCacheCapBytes : 0);
   parallel::set_num_threads(threads);
   Rng rng(77);
   Tensor w1t = Tensor::randn({4, 3, 3, 3}, rng);
@@ -316,7 +316,7 @@ std::uint64_t conv_train_fingerprint(bool cache_on, int threads) {
     for (const Tensor* t : parts) h = fnv_tensor(*t, h);
   }
   parallel::set_num_threads(1);
-  nn::set_conv_pack_cache(true);
+  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
   return h;
 }
 
@@ -334,23 +334,23 @@ TEST(ConvPackCache, OneIm2colSweepPerConvLayerPerStep) {
     // cached slabs: nothing outlives the step.
     EXPECT_EQ(0, nn::conv_pack_cache_live_bytes());
   };
-  nn::set_conv_pack_cache(true);
+  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
   std::int64_t before = nn::im2col_calls();
   step();
   EXPECT_EQ(2, nn::im2col_calls() - before) << "cached: one sweep per conv layer";
 
-  nn::set_conv_pack_cache(false);
+  nn::set_conv_pack_cache_cap(0);
   before = nn::im2col_calls();
   step();
   EXPECT_EQ(4, nn::im2col_calls() - before) << "uncached: forward + dW re-pack per layer";
 
   // A cap too small for any slab degrades to the re-pack path, not an error.
-  nn::set_conv_pack_cache(true, /*cap_bytes=*/16);
+  nn::set_conv_pack_cache_cap(16);
   before = nn::im2col_calls();
   step();
   EXPECT_EQ(4, nn::im2col_calls() - before) << "over-cap: behaves as uncached";
 
-  nn::set_conv_pack_cache(true);
+  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
 }
 
 TEST(ConvPackCache, CachedAndUncachedTrainingBitwiseIdentical) {
@@ -419,7 +419,7 @@ TEST(NoGrad, ConvForwardKeepsNoPackCache) {
   Rng rng(92);
   const Variable x(Tensor::randn({2, 3, 8, 8}, rng));
   const Variable w(Tensor::randn({4, 3, 3, 3}, rng), true);
-  nn::set_conv_pack_cache(true);
+  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
   {
     const Variable taped = nn::conv2d(x, w, Variable(), 1, 1);
     EXPECT_GT(nn::conv_pack_cache_live_bytes(), 0) << "taped forward caches its slabs";

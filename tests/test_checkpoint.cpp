@@ -13,7 +13,6 @@
 #include "models/ncf.h"
 #include "models/resnet.h"
 #include "nn/layers.h"
-#include "nn/serialize.h"
 #include "optim/optimizer.h"
 
 namespace mlperf::checkpoint {
@@ -358,27 +357,6 @@ TEST(TimerCarry, RejectsNegativeAndPostStop) {
   timer.start_run();
   timer.stop_run();
   EXPECT_THROW(timer.carry_prior(1.0, 1.0), std::logic_error);
-}
-
-// ---------------------------------------------------------------------------
-// nn::save_weights atomicity (satellite)
-// ---------------------------------------------------------------------------
-
-TEST(SaveWeights, AtomicAndRejectsTruncation) {
-  tensor::Rng rng(3);
-  TinyNet net(rng);
-  const std::string path = tmp_path("weights.mlpw");
-  nn::save_weights(net, path);
-  EXPECT_TRUE(file_exists(path));
-  EXPECT_FALSE(file_exists(path + ".tmp"));
-  tensor::Rng rng2(4);
-  TinyNet other(rng2);
-  nn::load_weights(other, path);
-
-  std::vector<std::uint8_t> bytes = slurp(path);
-  bytes.resize(bytes.size() - 8);
-  spit(path, bytes);
-  EXPECT_THROW(nn::load_weights(other, path), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -473,15 +473,6 @@ TEST(TranslationData, LengthsWithinConfig) {
   }
 }
 
-TEST(TranslationData, PadBatchAligns) {
-  std::vector<TokenSeq> seqs = {{3, 4}, {3, 4, 5, 6}, {3}};
-  std::int64_t len = 0;
-  const auto padded = pad_batch(seqs, &len);
-  EXPECT_EQ(len, 4);
-  for (const auto& s : padded) EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(padded[2][1], kPad);
-}
-
 TEST(TranslationData, BucketBatchesCoverEveryPairOnceInEqualLengthBatches) {
   SyntheticTranslationDataset::Config cfg;
   cfg.train_size = 50;

@@ -6,8 +6,12 @@
 #include <set>
 
 #include "autograd/variable.h"
+#include "checkpoint/state.h"
 #include "core/review.h"
 #include "harness/reference.h"
+#include "models/resnet.h"
+#include "nn/functional.h"
+#include "parallel/parallel_for.h"
 
 namespace mlperf::harness {
 namespace {
@@ -93,6 +97,19 @@ TEST(Harness, EvalIntervalSkipsEvaluations) {
   EXPECT_TRUE(out.quality_reached);
   EXPECT_EQ(out.epochs, 6);         // evals at 2, 4, 6
   EXPECT_EQ(out.curve.size(), 3u);
+}
+
+TEST(Harness, RejectsEvalIntervalBelowOne) {
+  for (const std::int64_t interval : {std::int64_t{0}, std::int64_t{-1}}) {
+    ScriptedWorkload w({1.0});
+    core::QualityMetric target{"q", 0.5, true};
+    RunOptions opts;
+    opts.seed = 9;
+    opts.eval_interval = interval;
+    core::ManualClock clock;
+    EXPECT_THROW(run_to_target(w, target, opts, clock), std::invalid_argument) << interval;
+    EXPECT_EQ(w.seed_, 0u) << "build_model ran with eval_interval " << interval;
+  }
 }
 
 TEST(Harness, SeedIsPassedToWorkloadAndLogged) {
@@ -299,6 +316,39 @@ INSTANTIATE_TEST_SUITE_P(
                       BenchmarkId::kObjectDetectionHeavy, BenchmarkId::kTranslationRecurrent,
                       BenchmarkId::kTranslationNonRecurrent, BenchmarkId::kRecommendation,
                       BenchmarkId::kReinforcementLearning));
+
+// The step-scoped im2col pack cache only moves where the dW pass reads its
+// patches from: smoke-scale image_classification trains to the same outcome
+// and the same final weights with the cache at its default cap and with cap 0
+// (every conv re-packs), at 1 and 4 threads, with fewer im2col sweeps cached.
+TEST(ConvPackCache, RealWorkloadCachedAndUncachedRunsBitwiseIdentical) {
+  const auto suite = core::suite_v05();
+  const auto& spec = core::find_spec(suite, BenchmarkId::kImageClassification);
+  for (const std::int64_t threads : {1, 4}) {
+    std::uint64_t prints[2], weights[2];
+    std::int64_t sweeps[2];
+    const std::int64_t caps[2] = {nn::kDefaultConvPackCacheCapBytes, 0};
+    for (int i = 0; i < 2; ++i) {
+      nn::set_conv_pack_cache_cap(caps[i]);
+      auto w = make_reference_workload(spec.id, WorkloadScale::kSmoke);
+      RunOptions opts;
+      opts.seed = 42;
+      opts.max_epochs = 12;
+      opts.num_threads = threads;
+      const std::int64_t before = nn::im2col_calls();
+      prints[i] =
+          outcome_fingerprint(run_to_target(*w, scaled_target(spec, WorkloadScale::kSmoke), opts));
+      sweeps[i] = nn::im2col_calls() - before;
+      weights[i] = checkpoint::hash_module(*dynamic_cast<models::ResNetWorkload&>(*w).model());
+      EXPECT_EQ(0, nn::conv_pack_cache_live_bytes()) << "cap " << caps[i] << ", t=" << threads;
+    }
+    EXPECT_EQ(prints[0], prints[1]) << "t=" << threads;
+    EXPECT_EQ(weights[0], weights[1]) << "t=" << threads;
+    EXPECT_LT(sweeps[0], sweeps[1]) << "t=" << threads;
+  }
+  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
+  parallel::set_num_threads(1);
+}
 
 }  // namespace
 }  // namespace mlperf::harness

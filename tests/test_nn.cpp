@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "nn/functional.h"
-#include "nn/serialize.h"
 #include "parallel/parallel_for.h"
 
 namespace mlperf::nn {
@@ -551,52 +550,6 @@ TEST(Lstm, MultiLayerSequenceAndGradFlow) {
   EXPECT_EQ(out.final_states.size(), 2u);
   autograd::sum_all(out.hiddens.back()).backward();
   EXPECT_GT(xs[0].grad().l2_norm_sq(), 0.0f);  // BPTT reaches the first step
-}
-
-TEST(Serialize, SaveLoadRoundTripsWeights) {
-  Rng rng(30);
-  MultiHeadAttention a(8, 2, rng);
-  MultiHeadAttention b(8, 2, rng);  // different init
-  const std::string path = ::testing::TempDir() + "weights_roundtrip.bin";
-  save_weights(a, path);
-  load_weights(b, path);
-  const auto pa = a.named_parameters();
-  const auto pb = b.named_parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    for (std::int64_t j = 0; j < pa[i].second.numel(); ++j)
-      EXPECT_EQ(pa[i].second.value()[j], pb[i].second.value()[j]) << pa[i].first;
-}
-
-TEST(Serialize, LoadedModelProducesIdenticalOutputs) {
-  Rng rng(31);
-  Linear a(5, 3, rng);
-  Linear b(5, 3, rng);
-  const std::string path = ::testing::TempDir() + "weights_linear.bin";
-  save_weights(a, path);
-  load_weights(b, path);
-  Tensor x = Tensor::randn({2, 5}, rng);
-  Variable ya = a.forward(Variable(x));
-  Variable yb = b.forward(Variable(x));
-  for (std::int64_t i = 0; i < ya.value().numel(); ++i)
-    EXPECT_EQ(ya.value()[i], yb.value()[i]);
-}
-
-TEST(Serialize, ArchitectureMismatchThrows) {
-  Rng rng(32);
-  Linear a(5, 3, rng);
-  const std::string path = ::testing::TempDir() + "weights_mismatch.bin";
-  save_weights(a, path);
-  Linear wrong_shape(5, 4, rng);
-  EXPECT_THROW(load_weights(wrong_shape, path), std::runtime_error);
-  MultiHeadAttention wrong_arch(8, 2, rng);
-  EXPECT_THROW(load_weights(wrong_arch, path), std::runtime_error);
-}
-
-TEST(Serialize, MissingFileThrows) {
-  Rng rng(33);
-  Linear a(2, 2, rng);
-  EXPECT_THROW(load_weights(a, "/nonexistent/weights.bin"), std::runtime_error);
 }
 
 TEST(Module, ParameterRegistryAndNames) {

@@ -99,7 +99,7 @@ TEST(TensorReshape, DoubleInferThrows) {
 
 TEST(TensorPermute, Transpose2d) {
   Tensor t({2, 3}, {0, 1, 2, 3, 4, 5});
-  Tensor tt = t.transpose2d();
+  Tensor tt = t.permute({1, 0});
   EXPECT_EQ(tt.shape(), (Shape{3, 2}));
   EXPECT_EQ(tt.at({0, 1}), 3.0f);
   EXPECT_EQ(tt.at({2, 0}), 2.0f);
@@ -374,8 +374,8 @@ TEST(GemmProperty, TransposeIdentity) {
   Rng rng(13);
   Tensor a = Tensor::randn({3, 5}, rng);
   Tensor b = Tensor::randn({5, 2}, rng);
-  Tensor lhs = a.matmul(b).transpose2d();
-  Tensor rhs = b.transpose2d().matmul(a.transpose2d());
+  Tensor lhs = a.matmul(b).permute({1, 0});
+  Tensor rhs = b.permute({1, 0}).matmul(a.permute({1, 0}));
   for (std::int64_t i = 0; i < lhs.numel(); ++i) EXPECT_NEAR(lhs[i], rhs[i], 1e-4);
 }
 
