@@ -17,6 +17,7 @@
 
 #include "checkpoint/format.h"
 #include "checkpoint/state.h"
+#include "go/board.h"
 #include "harness/reference.h"
 #include "models/ncf.h"
 #include "models/resnet.h"
@@ -241,6 +242,60 @@ static void BM_Im2colPackCache(benchmark::State& state) {
   nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
 }
 BENCHMARK(BM_Im2colPackCache)->Arg(0)->Arg(1);
+
+// One MCTS expansion's two costs outside the GEMM, at MiniGo's 9x9 shapes.
+// BM_LegalMoves: go::Board::legal_moves() on a mid-game position (a seeded
+// 24-move random opening; `legal` reports how many moves it lists).
+static void BM_LegalMoves(benchmark::State& state) {
+  go::Board board(9, 5.5f);
+  Rng rng(7);
+  for (int ply = 0; ply < 24; ++ply) {
+    auto moves = board.legal_moves();
+    moves.pop_back();  // pass is always last: keep the opening on the board
+    board.play(moves[static_cast<std::size_t>(rng.randint(moves.size()))]);
+  }
+  std::size_t legal = 0;
+  for (auto _ : state) {
+    const auto moves = board.legal_moves();
+    legal = moves.size();
+    benchmark::DoNotOptimize(moves.data());
+  }
+  state.counters["legal"] = static_cast<double>(legal);
+}
+BENCHMARK(BM_LegalMoves);
+
+// BM_Conv2dForwardBatch1: the residual-tower conv of PolicyValueNet::infer
+// ([1, 16, 9, 9], 16 filters, 3x3, pad 1) under NoGradGuard, as MCTS runs it.
+static void BM_Conv2dForwardBatch1(benchmark::State& state) {
+  Rng rng(15);
+  Tensor x = Tensor::randn({1, 16, 9, 9}, rng);
+  Tensor w = Tensor::randn({16, 16, 3, 3}, rng);
+  autograd::NoGradGuard no_grad;
+  autograd::Variable vx(x), vw(w);
+  for (auto _ : state) {
+    auto y = nn::conv2d(vx, vw, autograd::Variable(), 1, 1);
+    benchmark::DoNotOptimize(y.value().data());
+  }
+}
+BENCHMARK(BM_Conv2dForwardBatch1);
+
+// BM_Col2im: the input-gradient pass (W^T g GEMM, then col2im) of the same
+// conv at a training batch of 8, forward excluded via PauseTiming.
+static void BM_Col2im(benchmark::State& state) {
+  Rng rng(16);
+  Tensor x = Tensor::randn({8, 16, 9, 9}, rng);
+  Tensor w = Tensor::randn({16, 16, 3, 3}, rng);
+  for (auto _ : state) {
+    state.PauseTiming();
+    autograd::Variable vx(x, true);
+    auto y = nn::conv2d(vx, autograd::Variable(w), autograd::Variable(), 1, 1);
+    Tensor seed(y.shape(), 1.0f);
+    state.ResumeTiming();
+    y.backward(seed);
+    benchmark::DoNotOptimize(vx.grad().data());
+  }
+}
+BENCHMARK(BM_Col2im);
 
 // Attention's softmax: the fused scale+mask+softmax node vs the three-node
 // chain it replaced (bitwise-identical outputs; this pair measures the win).

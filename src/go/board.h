@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,6 +32,9 @@ struct Move {
 /// all previous positions), two-pass game end, and Tromp-Taylor area scoring.
 class Board {
  public:
+  /// Points on the largest supported board (19×19).
+  static constexpr std::int64_t kMaxPoints = 19 * 19;
+
   explicit Board(std::int64_t size = 9, float komi = 5.5f);
 
   std::int64_t size() const { return size_; }
@@ -71,15 +75,22 @@ class Board {
   std::string to_string() const;
 
  private:
-  struct GroupInfo {
-    std::vector<std::int64_t> stones;
+  /// One flood fill's result, in fixed storage: no heap allocation.
+  struct Group {
+    std::array<std::int16_t, kMaxPoints> stones;  // [0, size) are valid
+    std::int64_t size = 0;
     std::int64_t liberties = 0;
   };
-  GroupInfo group_at(std::int64_t p) const;
-  void remove_group(const std::vector<std::int64_t>& stones);
+  /// Writes the orthogonal neighbours of p into out; returns their count.
+  std::int64_t neighbors_into(std::int64_t p, std::array<std::int64_t, 4>& out) const;
+  /// Flood-fills the group at the occupied point p. Stops once it has counted
+  /// lib_limit distinct liberties, so only a fill that returns fewer than
+  /// lib_limit liberties is guaranteed to hold every stone of the group.
+  void fill_group(std::int64_t p, std::int64_t lib_limit, Group& g) const;
   void set_stone(std::int64_t p, Stone s);
-  /// Hash after hypothetically playing m (for superko); nullopt if suicide.
-  std::optional<std::uint64_t> hash_after(Move m) const;
+  /// Hash after the side to play puts a stone on the empty point p, decided
+  /// in place without playing it; nullopt if the move is suicide.
+  std::optional<std::uint64_t> hash_if_played(std::int64_t p) const;
 
   std::int64_t size_;
   float komi_;

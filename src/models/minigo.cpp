@@ -166,11 +166,14 @@ std::vector<float> Mcts::search(const Board& root, tensor::Rng& rng) {
   // Expand the root once, then optionally mix Dirichlet noise into priors.
   simulate(node, root, rng);
   if (config_.dirichlet_weight > 0.0f && node.moves.size() > 1) {
-    // Gamma(alpha) draws normalized -> Dirichlet.
+    // Root noise: normalized draws of u^(1/alpha), u ~ U(0,1). That is only
+    // the alpha < 1 boost factor of a Gamma(alpha) sampler, without the
+    // Gamma(alpha + 1) draw it multiplies, so the noise is NOT Dirichlet(alpha).
+    // Left as is because a fix moves every MiniGo fingerprint (ROADMAP,
+    // game-parallel self-play).
     std::vector<float> noise(node.priors.size());
     float total = 0.0f;
     for (auto& x : noise) {
-      // Marsaglia-Tsang needs alpha >= 1; use the boost for alpha < 1.
       const float u = static_cast<float>(rng.uniform()) + 1e-9f;
       const float g = static_cast<float>(std::pow(u, 1.0 / config_.dirichlet_alpha));
       x = g;

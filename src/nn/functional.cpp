@@ -52,51 +52,93 @@ ConvDims conv_dims(const Tensor& input, const Tensor& weight, std::int64_t strid
   d.kh = weight.shape()[2];
   d.kw = weight.shape()[3];
   if (weight.shape()[1] != d.c) throw std::invalid_argument("conv2d: channel mismatch");
+  if (stride < 1) throw std::invalid_argument("conv2d: stride must be >= 1");
+  if (padding < 0) throw std::invalid_argument("conv2d: padding must be >= 0");
+  if (d.kh < 1 || d.kw < 1) throw std::invalid_argument("conv2d: kernel must be >= 1");
   d.oh = (d.h + 2 * padding - d.kh) / stride + 1;
   d.ow = (d.w + 2 * padding - d.kw) / stride + 1;
   if (d.oh <= 0 || d.ow <= 0) throw std::invalid_argument("conv2d: output would be empty");
   return d;
 }
 
-// cols: [C*KH*KW, OH*OW] for one sample.
-void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64_t padding,
-            float* cols) {
-  const std::int64_t patch = d.kh * d.kw;
+// Copies one sample [C, H, W] into the interior of a zero-bordered plane
+// [C, H+2P, W+2P] (P = padding > 0). Every read or write of the lowering loops
+// below then lands inside the plane, so they test no bounds.
+void pad_sample(const float* src, const ConvDims& d, std::int64_t padding, float* out) {
+  const std::int64_t pw = d.w + 2 * padding;
+  const std::int64_t plane = (d.h + 2 * padding) * pw;
   for (std::int64_t c = 0; c < d.c; ++c) {
-    for (std::int64_t p = 0; p < patch; ++p) {
-      const std::int64_t ki = p / d.kw, kj = p % d.kw;
-      float* row = cols + (c * patch + p) * (d.oh * d.ow);
-      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
-        const std::int64_t ii = oi * stride - padding + ki;
-        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
-          const std::int64_t jj = oj * stride - padding + kj;
-          row[oi * d.ow + oj] = (ii >= 0 && ii < d.h && jj >= 0 && jj < d.w)
-                                    ? src[(c * d.h + ii) * d.w + jj]
-                                    : 0.0f;
-        }
-      }
+    float* dst = out + c * plane;
+    std::fill_n(dst, padding * pw + padding, 0.0f);  // top rows, first left border
+    for (std::int64_t i = 0; i < d.h; ++i) {
+      float* row = dst + (padding + i) * pw + padding;
+      std::copy_n(src + (c * d.h + i) * d.w, d.w, row);
+      std::fill_n(row + d.w, 2 * padding, 0.0f);  // right border, next row's left border
     }
+    // The loop zeroed the first bottom row's left border; the rest remains.
+    std::fill_n(dst + (padding + d.h) * pw + padding, padding * pw - padding, 0.0f);
   }
 }
 
-void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride,
-                       std::int64_t padding, float* dst) {
-  const std::int64_t patch = d.kh * d.kw;
-  for (std::int64_t c = 0; c < d.c; ++c) {
-    for (std::int64_t p = 0; p < patch; ++p) {
-      const std::int64_t ki = p / d.kw, kj = p % d.kw;
-      const float* row = cols + (c * patch + p) * (d.oh * d.ow);
-      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
-        const std::int64_t ii = oi * stride - padding + ki;
-        if (ii < 0 || ii >= d.h) continue;
-        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
-          const std::int64_t jj = oj * stride - padding + kj;
-          if (jj < 0 || jj >= d.w) continue;
-          dst[(c * d.h + ii) * d.w + jj] += row[oi * d.ow + oj];
+// cols: [C*KH*KW, OH*OW] for one sample. Row (c, ki, kj) of cols is, for each
+// output row oi, the strided run of plane row oi*stride+ki starting at kj.
+void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64_t padding,
+            float* cols) {
+  const std::int64_t ph = d.h + 2 * padding, pw = d.w + 2 * padding;
+  tensor::ScratchArena::Frame frame(tensor::ScratchArena::tls());
+  const float* plane = src;  // padding 0 reads the input directly
+  if (padding > 0) {
+    float* padded = frame.alloc(d.c * ph * pw);
+    pad_sample(src, d, padding, padded);
+    plane = padded;
+  }
+  for (std::int64_t c = 0; c < d.c; ++c)
+    for (std::int64_t ki = 0; ki < d.kh; ++ki)
+      for (std::int64_t kj = 0; kj < d.kw; ++kj) {
+        float* row = cols + ((c * d.kh + ki) * d.kw + kj) * (d.oh * d.ow);
+        for (std::int64_t oi = 0; oi < d.oh; ++oi) {
+          const float* in = plane + (c * ph + oi * stride + ki) * pw + kj;
+          float* out = row + oi * d.ow;
+          if (stride == 1) {
+            std::copy_n(in, d.ow, out);
+          } else {
+            for (std::int64_t oj = 0; oj < d.ow; ++oj) out[oj] = in[oj * stride];
+          }
         }
       }
-    }
+}
+
+// Scatter-adds cols back into dst [C, H, W]. Through a padded copy of dst the
+// adds run in the same (c, ki, kj, oi, oj) order as a bounds-tested loop and
+// land on the same interior elements (border sums are dropped), so every dst
+// element sees the same float-add sequence.
+void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride,
+                       std::int64_t padding, float* dst) {
+  const std::int64_t ph = d.h + 2 * padding, pw = d.w + 2 * padding;
+  tensor::ScratchArena::Frame frame(tensor::ScratchArena::tls());
+  float* plane = dst;
+  if (padding > 0) {
+    plane = frame.alloc(d.c * ph * pw);
+    pad_sample(dst, d, padding, plane);
   }
+  for (std::int64_t c = 0; c < d.c; ++c)
+    for (std::int64_t ki = 0; ki < d.kh; ++ki)
+      for (std::int64_t kj = 0; kj < d.kw; ++kj) {
+        const float* row = cols + ((c * d.kh + ki) * d.kw + kj) * (d.oh * d.ow);
+        for (std::int64_t oi = 0; oi < d.oh; ++oi) {
+          float* out = plane + (c * ph + oi * stride + ki) * pw + kj;
+          const float* in = row + oi * d.ow;
+          if (stride == 1) {
+            for (std::int64_t oj = 0; oj < d.ow; ++oj) out[oj] += in[oj];
+          } else {
+            for (std::int64_t oj = 0; oj < d.ow; ++oj) out[oj * stride] += in[oj];
+          }
+        }
+      }
+  if (padding == 0) return;
+  for (std::int64_t c = 0; c < d.c; ++c)
+    for (std::int64_t i = 0; i < d.h; ++i)
+      std::copy_n(plane + (c * ph + padding + i) * pw + padding, d.w, dst + (c * d.h + i) * d.w);
 }
 
 // ---- step-scoped im2col pack cache -----------------------------------------
@@ -309,6 +351,8 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
 Variable max_pool2d(const Variable& input, std::int64_t kernel, std::int64_t stride) {
   const Tensor& x = input.value();
   if (x.ndim() != 4) throw std::invalid_argument("max_pool2d: input must be rank 4");
+  if (kernel < 1 || stride < 1)
+    throw std::invalid_argument("max_pool2d: kernel and stride must be >= 1");
   const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
   const std::int64_t oh = (h - kernel) / stride + 1;
   const std::int64_t ow = (w - kernel) / stride + 1;
@@ -360,6 +404,8 @@ Variable max_pool2d(const Variable& input, std::int64_t kernel, std::int64_t str
 Variable avg_pool2d(const Variable& input, std::int64_t kernel, std::int64_t stride) {
   const Tensor& x = input.value();
   if (x.ndim() != 4) throw std::invalid_argument("avg_pool2d: input must be rank 4");
+  if (kernel < 1 || stride < 1)
+    throw std::invalid_argument("avg_pool2d: kernel and stride must be >= 1");
   const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
   const std::int64_t oh = (h - kernel) / stride + 1;
   const std::int64_t ow = (w - kernel) / stride + 1;

@@ -246,5 +246,105 @@ TEST_P(RandomPlayout, CompletesWithoutRuleViolations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPlayout, ::testing::Values(1, 2, 3, 4, 5));
 
+TEST(Board, CaptureTouchingTwoSidesXorsEachStoneOnce) {
+  // The white group {(0,1),(1,0),(1,1)} touches (0,0) through both of its
+  // neighbours. Capturing it must remove each stone from the hash once, so
+  // the result hashes like the same stones played with no capture at all.
+  Board b(5);
+  b.play(Move::at(pt(b, 0, 2)));  // B
+  b.play(Move::at(pt(b, 0, 1)));  // W
+  b.play(Move::at(pt(b, 2, 0)));  // B
+  b.play(Move::at(pt(b, 1, 0)));  // W
+  b.play(Move::at(pt(b, 2, 1)));  // B
+  b.play(Move::at(pt(b, 1, 1)));  // W
+  b.play(Move::at(pt(b, 1, 2)));  // B
+  b.play(Move::pass());           // W
+  ASSERT_TRUE(b.is_legal(Move::at(pt(b, 0, 0))));
+  b.play(Move::at(pt(b, 0, 0)));  // B captures three stones
+
+  Board same(5);
+  for (const auto& [r, c] : {std::pair{0, 2}, {2, 0}, {2, 1}, {1, 2}, {0, 0}}) {
+    same.play(Move::at(pt(same, r, c)));
+    same.play(Move::pass());
+  }
+  EXPECT_EQ(b.position_hash(), same.position_hash());
+  EXPECT_EQ(b.to_string().substr(0, 30), same.to_string().substr(0, 30));
+}
+
+TEST(Board, SuperkoSeesCaptureOfGroupTouchingTwoSides) {
+  // Black's capture at (0,0) of the white group {(0,1),(1,0),(1,1)}, which
+  // touches (0,0) on two sides, would recreate the position after move 9.
+  // The legality check only sees that if it removes each captured stone
+  // from the hash once.
+  Board b(5);
+  for (const auto& [r, c] : {std::pair{0, 2}, {2, 0}, {2, 1}, {1, 2}}) {
+    b.play(Move::at(pt(b, r, c)));  // B walls off the corner
+    b.play(Move::pass());           // W
+  }
+  b.play(Move::at(pt(b, 0, 0)));  // 9 B
+  b.play(Move::at(pt(b, 0, 1)));  // 10 W
+  b.play(Move::pass());           // 11 B
+  b.play(Move::at(pt(b, 1, 0)));  // 12 W captures (0,0)
+  EXPECT_EQ(b.at(pt(b, 0, 0)), Stone::kEmpty);
+  b.play(Move::pass());           // 13 B
+  b.play(Move::at(pt(b, 1, 1)));  // 14 W: the group's last liberty is (0,0)
+  EXPECT_FALSE(b.is_legal(Move::at(pt(b, 0, 0))));
+}
+
+TEST(Board, RecaptureAfterMultiStoneCaptureViolatesSuperko) {
+  // White's pair {(0,1),(0,2)} has one liberty, (0,0). Black captures both
+  // there; White's recapture at (0,1) would recreate the position after
+  // move 5, which positional superko forbids (though it is not a simple ko).
+  Board b(5);
+  b.play(Move::at(pt(b, 1, 1)));  // 1 B
+  b.play(Move::at(pt(b, 1, 0)));  // 2 W
+  b.play(Move::at(pt(b, 1, 2)));  // 3 B
+  b.play(Move::at(pt(b, 0, 1)));  // 4 W
+  b.play(Move::at(pt(b, 0, 3)));  // 5 B
+  b.play(Move::at(pt(b, 0, 2)));  // 6 W: the pair, in atari at (0,0)
+  b.play(Move::at(pt(b, 0, 0)));  // 7 B captures two stones
+  EXPECT_EQ(b.at(pt(b, 0, 1)), Stone::kEmpty);
+  EXPECT_EQ(b.at(pt(b, 0, 2)), Stone::kEmpty);
+  EXPECT_EQ(b.liberties(pt(b, 0, 0)), 1);
+  EXPECT_FALSE(b.is_legal(Move::at(pt(b, 0, 1))));
+  EXPECT_THROW(b.play(Move::at(pt(b, 0, 1))), std::invalid_argument);
+  bool listed = false;
+  for (const Move m : b.legal_moves()) listed |= m == Move::at(pt(b, 0, 1));
+  EXPECT_FALSE(listed);
+  EXPECT_TRUE(b.is_legal(Move::at(pt(b, 0, 2))));  // a different position
+}
+
+// Golden digest of the rules: legal_moves(), position_hash() and
+// tromp_taylor_score() at every position of seeded random playouts. The
+// expected values were recorded from the copy-based legality check that the
+// in-place one replaced; all inputs are integers, so they hold for any
+// compiler.
+std::uint64_t playout_digest(std::int64_t size, std::uint64_t games) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint64_t g = 0; g < games; ++g) {
+    tensor::Rng rng(1000 + g);
+    Board b(size, 0.5f);
+    for (std::int64_t ply = 0; !b.game_over() && ply < 3 * b.num_points(); ++ply) {
+      const auto legal = b.legal_moves();
+      for (const Move m : legal) mix(m.point);
+      mix(static_cast<std::int64_t>(b.position_hash()));
+      mix(static_cast<std::int64_t>(b.tromp_taylor_score() * 2.0f));
+      b.play(legal[static_cast<std::size_t>(rng.randint(legal.size()))]);
+    }
+    mix(static_cast<std::int64_t>(b.winner()));
+  }
+  return h;
+}
+
+TEST(Board, RulesGoldenDigest9x9) { EXPECT_EQ(playout_digest(9, 200), 0x12b6f2811e24f5f2ULL); }
+
+TEST(Board, RulesGoldenDigest5x5) { EXPECT_EQ(playout_digest(5, 200), 0x358325a76d8be925ULL); }
+
 }  // namespace
 }  // namespace mlperf::go

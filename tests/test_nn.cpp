@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "nn/functional.h"
 #include "parallel/parallel_for.h"
+#include "tensor/gemm.h"
 
 namespace mlperf::nn {
 namespace {
@@ -99,6 +102,15 @@ struct ConvCase {
   std::int64_t in_ch, out_ch, kernel, stride, pad, hw;
 };
 
+constexpr ConvCase kConvSweep[] = {
+    {1, 1, 1, 1, 0, 5},  // pointwise
+    {2, 4, 3, 1, 1, 6},  // same-pad 3x3
+    {3, 2, 3, 2, 1, 8},  // strided
+    {2, 2, 5, 1, 2, 9},  // 5x5
+    {4, 1, 3, 3, 0, 9},  // stride 3
+    {1, 3, 2, 2, 0, 8},  // even kernel
+};
+
 class ConvParamSweep : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvParamSweep, MatchesNaive) {
@@ -112,13 +124,7 @@ TEST_P(ConvParamSweep, MatchesNaive) {
   for (std::int64_t i = 0; i < ref.numel(); ++i) EXPECT_NEAR(out.value()[i], ref[i], 1e-3);
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, ConvParamSweep,
-                         ::testing::Values(ConvCase{1, 1, 1, 1, 0, 5},   // pointwise
-                                           ConvCase{2, 4, 3, 1, 1, 6},   // same-pad 3x3
-                                           ConvCase{3, 2, 3, 2, 1, 8},   // strided
-                                           ConvCase{2, 2, 5, 1, 2, 9},   // 5x5
-                                           ConvCase{4, 1, 3, 3, 0, 9},   // stride 3
-                                           ConvCase{1, 3, 2, 2, 0, 8})); // even kernel
+INSTANTIATE_TEST_SUITE_P(Configs, ConvParamSweep, ::testing::ValuesIn(kConvSweep));
 
 TEST(Conv2d, ShapeErrorsThrow) {
   Rng rng(101);
@@ -129,6 +135,152 @@ TEST(Conv2d, ShapeErrorsThrow) {
   Tensor w_toolarge = Tensor::randn({2, 3, 7, 7}, rng);
   EXPECT_THROW(conv2d(Variable(x), Variable(w_toolarge), Variable(), 1, 0),
                std::invalid_argument);
+  // A zero stride used to divide by zero; a negative padding would read
+  // outside the padded plane.
+  Tensor w = Tensor::randn({2, 3, 3, 3}, rng);
+  EXPECT_THROW(conv2d(Variable(x), Variable(w), Variable(), 0, 1), std::invalid_argument);
+  EXPECT_THROW(conv2d(Variable(x), Variable(w), Variable(), -1, 1), std::invalid_argument);
+  EXPECT_THROW(conv2d(Variable(x), Variable(w), Variable(), 1, -1), std::invalid_argument);
+  Tensor w_empty({2, 3, 0, 3});
+  EXPECT_THROW(conv2d(Variable(x), Variable(w_empty), Variable(), 1, 1), std::invalid_argument);
+}
+
+TEST(Pooling, BadKernelOrStrideThrows) {
+  Rng rng(102);
+  Tensor x = Tensor::randn({1, 2, 4, 4}, rng);
+  for (auto pool : {&max_pool2d, &avg_pool2d}) {
+    EXPECT_THROW(pool(Variable(x), 2, 0), std::invalid_argument);
+    EXPECT_THROW(pool(Variable(x), 2, -1), std::invalid_argument);
+    EXPECT_THROW(pool(Variable(x), 0, 1), std::invalid_argument);
+  }
+}
+
+// The conv lowering is pure data movement: conv2d and its backward must be
+// bitwise what the per-element, bounds-tested im2col / col2im loops below
+// produce when run through the same public GEMM kernels.
+namespace lowering_oracle {
+
+struct Dims {
+  std::int64_t c, h, w, kh, kw, oh, ow, stride, pad;
+};
+
+void im2col(const float* src, const Dims& d, float* cols) {
+  const std::int64_t patch = d.kh * d.kw;
+  for (std::int64_t c = 0; c < d.c; ++c)
+    for (std::int64_t p = 0; p < patch; ++p) {
+      const std::int64_t ki = p / d.kw, kj = p % d.kw;
+      float* row = cols + (c * patch + p) * (d.oh * d.ow);
+      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
+        const std::int64_t ii = oi * d.stride - d.pad + ki;
+        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
+          const std::int64_t jj = oj * d.stride - d.pad + kj;
+          row[oi * d.ow + oj] = (ii >= 0 && ii < d.h && jj >= 0 && jj < d.w)
+                                    ? src[(c * d.h + ii) * d.w + jj]
+                                    : 0.0f;
+        }
+      }
+    }
+}
+
+void col2im_accumulate(const float* cols, const Dims& d, float* dst) {
+  const std::int64_t patch = d.kh * d.kw;
+  for (std::int64_t c = 0; c < d.c; ++c)
+    for (std::int64_t p = 0; p < patch; ++p) {
+      const std::int64_t ki = p / d.kw, kj = p % d.kw;
+      const float* row = cols + (c * patch + p) * (d.oh * d.ow);
+      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
+        const std::int64_t ii = oi * d.stride - d.pad + ki;
+        if (ii < 0 || ii >= d.h) continue;
+        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
+          const std::int64_t jj = oj * d.stride - d.pad + kj;
+          if (jj < 0 || jj >= d.w) continue;
+          dst[(c * d.h + ii) * d.w + jj] += row[oi * d.ow + oj];
+        }
+      }
+    }
+}
+
+struct Result {
+  Tensor y, dx, dw;
+};
+
+// Forward (with bias), dX and dW for upstream gradient g, built per sample
+// from the oracle lowering and the public GEMM entry points; dW partials
+// fold in ascending sample order, as conv2d's backward does.
+Result conv(const Tensor& x, const Tensor& w, const Tensor& b, const Tensor& g,
+            std::int64_t stride, std::int64_t pad) {
+  const std::int64_t n = x.shape()[0], o = w.shape()[0];
+  Dims d{x.shape()[1], x.shape()[2], x.shape()[3], w.shape()[2], w.shape()[3], 0, 0, stride,
+         pad};
+  d.oh = (d.h + 2 * pad - d.kh) / stride + 1;
+  d.ow = (d.w + 2 * pad - d.kw) / stride + 1;
+  const std::int64_t rows = d.c * d.kh * d.kw, cols_n = d.oh * d.ow;
+  std::vector<float> cols(static_cast<std::size_t>(rows * cols_n));
+  std::vector<float> dcols(cols.size());
+  std::vector<float> partial(static_cast<std::size_t>(w.numel()));
+  Result r{Tensor({n, o, d.oh, d.ow}), Tensor(x.shape()), Tensor(w.shape())};
+  for (std::int64_t s = 0; s < n; ++s) {
+    im2col(x.data() + s * d.c * d.h * d.w, d, cols.data());
+    float* ys = r.y.data() + s * o * cols_n;
+    tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, o, cols_n, rows, w.data(), rows,
+                            cols.data(), cols_n, ys, cols_n);
+    for (std::int64_t oc = 0; oc < o; ++oc)
+      for (std::int64_t q = 0; q < cols_n; ++q) ys[oc * cols_n + q] += b[oc];
+    const float* gs = g.data() + s * o * cols_n;
+    tensor::gemm_f64acc(tensor::Trans::N, tensor::Trans::T, o, rows, cols_n, gs, cols_n,
+                        cols.data(), cols_n, partial.data(), rows);
+    for (std::int64_t i = 0; i < w.numel(); ++i) r.dw[i] += partial[static_cast<std::size_t>(i)];
+    std::fill(dcols.begin(), dcols.end(), 0.0f);
+    tensor::gemm_accumulate(tensor::Trans::T, tensor::Trans::N, rows, cols_n, o, w.data(), rows,
+                            gs, cols_n, dcols.data(), cols_n);
+    col2im_accumulate(dcols.data(), d, r.dx.data() + s * d.c * d.h * d.w);
+  }
+  return r;
+}
+
+void expect_same_bits(const Tensor& want, const Tensor& got, const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), sizeof(float) * want.numel()), 0) << what;
+}
+
+}  // namespace lowering_oracle
+
+TEST(Conv2d, LoweringBitwiseMatchesPerElementOracle) {
+  struct Case {
+    std::int64_t in_ch, out_ch, kernel, stride, pad, hw;
+    const char* name;
+  };
+  std::vector<Case> cases;
+  for (const ConvCase& cc : kConvSweep)
+    cases.push_back({cc.in_ch, cc.out_ch, cc.kernel, cc.stride, cc.pad, cc.hw, "sweep"});
+  cases.push_back({16, 16, 3, 1, 1, 9, "minigo 3x3"});
+  cases.push_back({3, 8, 3, 1, 1, 16, "resnet stem"});
+  cases.push_back({8, 8, 3, 2, 1, 16, "resnet strided 3x3"});
+  cases.push_back({2, 3, 1, 1, 2, 4, "pad beyond kernel"});
+  Rng rng(103);
+  for (const Case& c : cases)
+    for (std::int64_t batch : {1, 2}) {
+      const Tensor x = Tensor::randn({batch, c.in_ch, c.hw, c.hw}, rng);
+      const Tensor w = Tensor::randn({c.out_ch, c.in_ch, c.kernel, c.kernel}, rng);
+      const Tensor b = Tensor::randn({c.out_ch}, rng);
+      const std::int64_t ohw = (c.hw + 2 * c.pad - c.kernel) / c.stride + 1;
+      const Tensor g = Tensor::randn({batch, c.out_ch, ohw, ohw}, rng);
+      const lowering_oracle::Result want =
+          lowering_oracle::conv(x, w, b, g, c.stride, c.pad);
+      for (int threads : {1, 4}) {
+        parallel::set_num_threads(threads);
+        Variable vx(x, true), vw(w, true), vb(b, true);
+        Variable y = conv2d(vx, vw, vb, c.stride, c.pad);
+        autograd::sum_all(autograd::mul(y, Variable(g))).backward();
+        parallel::set_num_threads(1);
+        const std::string what = std::string(c.name) + " k" + std::to_string(c.kernel) + " s" +
+                                 std::to_string(c.stride) + " p" + std::to_string(c.pad) +
+                                 " n" + std::to_string(batch) + " t" + std::to_string(threads);
+        lowering_oracle::expect_same_bits(want.y, y.value(), what + " forward");
+        lowering_oracle::expect_same_bits(want.dx, vx.grad(), what + " dX");
+        lowering_oracle::expect_same_bits(want.dw, vw.grad(), what + " dW");
+      }
+    }
 }
 
 TEST(Pooling, MaxPoolForward) {
