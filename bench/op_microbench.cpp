@@ -217,13 +217,10 @@ static void BM_Conv2dDw(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dDw)->Arg(8)->Arg(16);
 
-// Full conv train step with the step-scoped im2col pack cache off (Arg 0:
-// cap 0) and on (Arg 1: the default cap). Doubles as the CI smoke check of
-// the cache contract: the run errors out unless im2col_calls() advanced by
-// exactly one sweep per step cached and two uncached.
+// Full conv train step through the step-scoped im2col pack cache. Doubles as
+// the CI smoke check of the cache contract: the run errors out unless
+// im2col_calls() advanced by exactly one sweep per step.
 static void BM_Im2colPackCache(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  nn::set_conv_pack_cache_cap(cached ? nn::kDefaultConvPackCacheCapBytes : 0);
   Rng rng(14);
   Tensor x = Tensor::randn({4, 8, 16, 16}, rng);
   Tensor w = Tensor::randn({8, 8, 3, 3}, rng);
@@ -236,12 +233,10 @@ static void BM_Im2colPackCache(benchmark::State& state) {
     benchmark::DoNotOptimize(vw.grad().data());
     ++steps;
   }
-  const std::int64_t sweeps = nn::im2col_calls() - calls0;
-  if (sweeps != (cached ? steps : 2 * steps))
+  if (nn::im2col_calls() - calls0 != steps)
     state.SkipWithError("im2col_calls() violates the pack-cache contract");
-  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
 }
-BENCHMARK(BM_Im2colPackCache)->Arg(0)->Arg(1);
+BENCHMARK(BM_Im2colPackCache);
 
 // One MCTS expansion's two costs outside the GEMM, at MiniGo's 9x9 shapes.
 // BM_LegalMoves: go::Board::legal_moves() on a mid-game position (a seeded

@@ -20,9 +20,14 @@
 //   --op_profile                   per-op cumulative time profile: prints one
 //                                  line per instrumented op after the run
 //                                  (also emitted as op_profile log events)
+//
+// Exits 0 when the run reaches its target, 1 when it misses or on a usage
+// error, and 2 with "error: <what>" when the run throws (for example on a
+// corrupt --resume_from checkpoint).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,7 +40,9 @@
 
 using namespace mlperf;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_quickstart(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string checkpoint_path = "quickstart.ckpt";
   std::string resume_from;
@@ -179,4 +186,15 @@ int main(int argc, char** argv) {
                   static_cast<long long>(e.calls), static_cast<double>(e.total_ns) * 1e-6);
   }
   return out.quality_reached ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_quickstart(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -48,13 +48,22 @@ void ByteWriter::put_tensor(const tensor::Tensor& t) {
   put_raw(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
 }
 
-void ByteReader::get_raw(void* out, std::size_t size) {
+void ByteReader::require(std::size_t size) const {
   if (size > size_ - offset_)
     throw CheckpointError("checkpoint section '" + section_ + "' truncated: need " +
                           std::to_string(size) + " bytes at offset " +
                           std::to_string(offset_) + ", have " +
                           std::to_string(size_ - offset_));
+}
+
+void ByteReader::get_raw(void* out, std::size_t size) {
+  require(size);
   std::memcpy(out, data_ + offset_, size);
+  offset_ += size;
+}
+
+void ByteReader::skip(std::size_t size) {
+  require(size);
   offset_ += size;
 }
 
@@ -138,57 +147,81 @@ void CheckpointWriter::write_file(const std::string& path) const {
   core::atomic_write_file(path, bytes.data(), bytes.size());
 }
 
-CheckpointReader CheckpointReader::parse(std::vector<std::uint8_t> bytes,
-                                         const std::string& origin) {
-  CheckpointReader r;
-  r.bytes_ = std::move(bytes);
-  ByteReader header(r.bytes_.data(), r.bytes_.size(), "header:" + origin);
-  const std::uint32_t magic = header.get_u32();
-  if (magic != kMagic)
+namespace {
+
+// The header and section-table walk both readers share. Strict
+// (CheckpointReader::parse) rejects a bad magic, a version mismatch, a CRC
+// mismatch and trailing bytes. Lenient (inspect_file) reports them instead,
+// and stops before the table on a bad magic. Either way an implausible
+// section count or a payload cut short throws.
+InspectReport walk_sections(const std::vector<std::uint8_t>& bytes, const std::string& origin,
+                            bool strict) {
+  InspectReport report;
+  report.file_bytes = bytes.size();
+  ByteReader header(bytes.data(), bytes.size(), "header:" + origin);
+  report.magic = header.get_u32();
+  report.magic_ok = report.magic == kMagic;
+  if (strict && !report.magic_ok)
     throw CheckpointError("not a checkpoint file (bad magic) in " + origin);
-  r.version_ = header.get_u32();
-  if (r.version_ != kFormatVersion)
+  report.version = header.get_u32();
+  report.version_ok = report.version == kFormatVersion;
+  if (strict && !report.version_ok)
     throw CheckpointError("checkpoint format version mismatch in " + origin + ": file has v" +
-                          std::to_string(r.version_) + ", this build reads v" +
+                          std::to_string(report.version) + ", this build reads v" +
                           std::to_string(kFormatVersion));
+  if (!report.magic_ok) return report;  // not our file; stop before the table walk
   const std::uint64_t count = header.get_u64();
   if (count > 1024)
-    throw CheckpointError("implausible section count " + std::to_string(count) + " in " +
-                          origin);
+    throw CheckpointError(strict ? "implausible section count " + std::to_string(count) +
+                                       " in " + origin
+                                 : "implausible section count in " + origin);
   for (std::uint64_t i = 0; i < count; ++i) {
-    SectionInfo info;
+    CheckpointReader::SectionInfo info;
     info.name = header.get_string();
     info.size = header.get_u64();
     info.stored_crc = header.get_u32();
     if (info.size > header.remaining())
       throw CheckpointError("checkpoint truncated in " + origin + ": section '" + info.name +
-                            "' claims " + std::to_string(info.size) + " bytes, " +
-                            std::to_string(header.remaining()) + " remain");
-    const std::size_t offset = r.bytes_.size() - header.remaining();
-    info.computed_crc = crc32c(r.bytes_.data() + offset, static_cast<std::size_t>(info.size));
-    if (!info.crc_ok())
+                            (strict ? "' claims " + std::to_string(info.size) + " bytes, " +
+                                          std::to_string(header.remaining()) + " remain"
+                                    : std::string("' payload cut short")));
+    info.offset = bytes.size() - header.remaining();
+    info.computed_crc = crc32c(bytes.data() + info.offset, static_cast<std::size_t>(info.size));
+    if (strict && !info.crc_ok())
       throw CheckpointError("checkpoint corrupted in " + origin + ": section '" + info.name +
                             "' CRC32C mismatch (stored " + std::to_string(info.stored_crc) +
                             ", computed " + std::to_string(info.computed_crc) + ")");
-    std::vector<std::uint8_t> skip(static_cast<std::size_t>(info.size));
-    header.get_raw(skip.data(), skip.size());
-    r.infos_.push_back(std::move(info));
-    r.offsets_.push_back(offset);
+    header.skip(static_cast<std::size_t>(info.size));
+    report.sections.push_back(std::move(info));
   }
-  if (!header.done())
+  if (strict && !header.done())
     throw CheckpointError("checkpoint has " + std::to_string(header.remaining()) +
                           " trailing bytes in " + origin);
+  return report;
+}
+
+std::vector<std::uint8_t> read_checkpoint_bytes(const std::string& path) {
+  try {
+    return core::read_file_bytes(path);
+  } catch (const std::runtime_error& e) {
+    throw CheckpointError(std::string("cannot read checkpoint: ") + e.what());
+  }
+}
+
+}  // namespace
+
+CheckpointReader CheckpointReader::parse(std::vector<std::uint8_t> bytes,
+                                         const std::string& origin) {
+  InspectReport table = walk_sections(bytes, origin, /*strict=*/true);
+  CheckpointReader r;
+  r.bytes_ = std::move(bytes);
+  r.version_ = table.version;
+  r.infos_ = std::move(table.sections);
   return r;
 }
 
 CheckpointReader CheckpointReader::read_file(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = core::read_file_bytes(path);
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(std::string("cannot read checkpoint: ") + e.what());
-  }
-  return parse(std::move(bytes), path);
+  return parse(read_checkpoint_bytes(path), path);
 }
 
 bool CheckpointReader::has_section(const std::string& name) const {
@@ -200,43 +233,13 @@ bool CheckpointReader::has_section(const std::string& name) const {
 ByteReader CheckpointReader::section(const std::string& name) const {
   for (std::size_t i = 0; i < infos_.size(); ++i)
     if (infos_[i].name == name)
-      return ByteReader(bytes_.data() + offsets_[i],
+      return ByteReader(bytes_.data() + infos_[i].offset,
                         static_cast<std::size_t>(infos_[i].size), name);
   throw CheckpointError("checkpoint is missing section '" + name + "'");
 }
 
 InspectReport inspect_file(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = core::read_file_bytes(path);
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(std::string("cannot read checkpoint: ") + e.what());
-  }
-  InspectReport report;
-  report.file_bytes = bytes.size();
-  ByteReader header(bytes.data(), bytes.size(), "header:" + path);
-  report.magic = header.get_u32();
-  report.magic_ok = report.magic == kMagic;
-  report.version = header.get_u32();
-  report.version_ok = report.version == kFormatVersion;
-  if (!report.magic_ok) return report;  // not our file; stop before the table walk
-  const std::uint64_t count = header.get_u64();
-  if (count > 1024) throw CheckpointError("implausible section count in " + path);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointReader::SectionInfo info;
-    info.name = header.get_string();
-    info.size = header.get_u64();
-    info.stored_crc = header.get_u32();
-    if (info.size > header.remaining())
-      throw CheckpointError("checkpoint truncated in " + path + ": section '" + info.name +
-                            "' payload cut short");
-    const std::size_t offset = bytes.size() - header.remaining();
-    info.computed_crc = crc32c(bytes.data() + offset, static_cast<std::size_t>(info.size));
-    std::vector<std::uint8_t> skip(static_cast<std::size_t>(info.size));
-    header.get_raw(skip.data(), skip.size());
-    report.sections.push_back(std::move(info));
-  }
-  return report;
+  return walk_sections(read_checkpoint_bytes(path), path, /*strict=*/false);
 }
 
 }  // namespace mlperf::checkpoint

@@ -51,7 +51,6 @@ class ByteWriter {
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof(v)); }
   void put_i64(std::int64_t v) { put_raw(&v, sizeof(v)); }
-  void put_f32(float v) { put_raw(&v, sizeof(v)); }
   void put_f64(double v) { put_raw(&v, sizeof(v)); }
   void put_bool(bool v) { put_u32(v ? 1 : 0); }
   void put_string(const std::string& s) {
@@ -80,13 +79,14 @@ class ByteReader {
   std::uint32_t get_u32() { return get_pod<std::uint32_t>(); }
   std::uint64_t get_u64() { return get_pod<std::uint64_t>(); }
   std::int64_t get_i64() { return get_pod<std::int64_t>(); }
-  float get_f32() { return get_pod<float>(); }
   double get_f64() { return get_pod<double>(); }
   bool get_bool() { return get_u32() != 0; }
   std::string get_string();
   /// Reads shape + data written by put_tensor.
   tensor::Tensor get_tensor();
   void get_raw(void* out, std::size_t size);
+  /// Moves past `size` bytes without copying them (bounds-checked like a read).
+  void skip(std::size_t size);
 
   std::size_t remaining() const { return size_ - offset_; }
   bool done() const { return offset_ == size_; }
@@ -99,6 +99,8 @@ class ByteReader {
     get_raw(&v, sizeof(v));
     return v;
   }
+  /// Throws unless `size` more bytes remain.
+  void require(std::size_t size) const;
 
   const std::uint8_t* data_;
   std::size_t size_;
@@ -138,6 +140,7 @@ class CheckpointReader {
     std::uint64_t size = 0;
     std::uint32_t stored_crc = 0;
     std::uint32_t computed_crc = 0;
+    std::size_t offset = 0;  ///< payload offset in the file
     bool crc_ok() const { return stored_crc == computed_crc; }
   };
 
@@ -156,8 +159,6 @@ class CheckpointReader {
   std::vector<std::uint8_t> bytes_;
   std::uint32_t version_ = 0;
   std::vector<SectionInfo> infos_;
-  // offset into bytes_ of each section's payload, parallel to infos_.
-  std::vector<std::size_t> offsets_;
 };
 
 /// Lenient header walk for `tools/ckpt_inspect`: never throws on CRC or

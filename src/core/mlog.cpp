@@ -1,7 +1,9 @@
 #include "core/mlog.h"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -64,6 +66,9 @@ std::string json_escape(const std::string& s) {
 
 std::string MlLog::serialize() const {
   std::ostringstream os;
+  // Enough digits that every double (time_ms stamps included) parses back to
+  // the same bits; non-finite values print as nan / inf / -inf.
+  os.precision(std::numeric_limits<double>::max_digits10);
   for (const auto& e : events_) {
     os << "{\"time_ms\": " << e.time_ms << ", \"key\": \"" << json_escape(e.key)
        << "\", \"value\": ";
@@ -143,6 +148,9 @@ class LineParser {
         throw std::invalid_argument("MlLog::parse: unknown field '" + field + "'");
       }
     }
+    skip_ws();
+    if (pos_ != s_.size())
+      throw std::invalid_argument("MlLog::parse: trailing characters after '}'");
     return e;
   }
 
@@ -180,14 +188,19 @@ class LineParser {
     ++pos_;  // closing quote
     return out;
   }
+  // A number token as the serializer prints it, including the nan / -nan /
+  // inf / -inf spellings of non-finite values.
   double parse_number() {
     skip_ws();
     std::size_t end = pos_;
-    while (end < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[end])) || s_[end] == '-' ||
-            s_[end] == '+' || s_[end] == '.' || s_[end] == 'e' || s_[end] == 'E'))
+    while (end < s_.size() && (std::isalnum(static_cast<unsigned char>(s_[end])) ||
+                               s_[end] == '-' || s_[end] == '+' || s_[end] == '.'))
       ++end;
-    const double v = std::stod(s_.substr(pos_, end - pos_));
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(s_.data() + pos_, s_.data() + end, v);
+    if (ec != std::errc() || ptr != s_.data() + end)
+      throw std::invalid_argument("MlLog::parse: bad number '" + s_.substr(pos_, end - pos_) +
+                                  "'");
     pos_ = end;
     return v;
   }

@@ -91,6 +91,10 @@ class MlLog {
   /// Last event with the key, if any.
   const LogEvent* find_last(const std::string& key) const;
 
+  /// One JSON line per event. Every double prints with enough digits to
+  /// parse back to the same bits; non-finite values print as nan / inf /
+  /// -inf, which parse() accepts. parse() throws std::invalid_argument on a
+  /// malformed line.
   std::string serialize() const;
   static MlLog parse(const std::string& json_lines);
 

@@ -11,7 +11,7 @@ namespace mlperf::core {
 /// profiled region costs two atomic adds and two clock reads — cheap enough
 /// to leave compiled into the per-sample conv loops and enable per run.
 enum class ProfiledOp : int {
-  kIm2col = 0,      ///< patch gather, forward or backward re-pack
+  kIm2col = 0,      ///< patch gather in the conv forward
   kCol2im,          ///< dX scatter-accumulate back to image layout
   kConvForward,     ///< whole conv2d forward op (pack + GEMM + bias)
   kConvDw,          ///< weight-gradient f64acc GEMM (pack + micro-kernel)

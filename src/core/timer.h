@@ -29,7 +29,6 @@ class ManualClock final : public Clock {
  public:
   double now_ms() const override { return t_; }
   void advance_ms(double dt) { t_ += dt; }
-  void set_ms(double t) { t_ = t; }
 
  private:
   double t_ = 0.0;

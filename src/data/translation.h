@@ -51,8 +51,6 @@ class SyntheticTranslationDataset {
   explicit SyntheticTranslationDataset(const Config& config);
 
   const Config& config() const { return config_; }
-  /// Total vocab size including specials (= config.vocab + kFirstWord).
-  std::int64_t vocab_size() const { return config_.vocab + kFirstWord; }
   std::int64_t train_size() const { return static_cast<std::int64_t>(train_.size()); }
   std::int64_t val_size() const { return static_cast<std::int64_t>(val_.size()); }
   const SentencePair& train(std::int64_t i) const { return train_.at(static_cast<std::size_t>(i)); }

@@ -85,6 +85,9 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
           "resume: checkpoint seed " + std::to_string(ckpt_seed) +
           " does not match requested seed " + std::to_string(options.seed));
     first_epoch = meta.get_i64();
+    if (first_epoch < 0)
+      throw checkpoint::CheckpointError("resume: checkpoint records a negative epoch " +
+                                        std::to_string(first_epoch));
     outcome.final_quality = meta.get_f64();
     checkpoint::ByteReader curve = ckpt.section("curve");
     const std::uint64_t n_points = curve.get_u64();

@@ -144,7 +144,6 @@ void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride
 // ---- step-scoped im2col pack cache -----------------------------------------
 
 std::atomic<std::int64_t> g_im2col_calls{0};
-std::atomic<std::int64_t> g_pack_cache_cap{kDefaultConvPackCacheCapBytes};
 std::atomic<std::int64_t> g_pack_cache_live{0};
 
 // One forward's im2col patch slabs, [N, col_rows*col_cols]. The backward
@@ -159,10 +158,6 @@ struct PackCache {
 };
 
 }  // namespace
-
-void set_conv_pack_cache_cap(std::int64_t cap_bytes) {
-  g_pack_cache_cap.store(cap_bytes, std::memory_order_relaxed);
-}
 
 std::int64_t conv_pack_cache_live_bytes() {
   return g_pack_cache_live.load(std::memory_order_relaxed);
@@ -180,28 +175,22 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
   const std::int64_t col_cols = d.oh * d.ow;
   Tensor out({d.n, d.o, d.oh, d.ow});
 
-  // When backward will need dW, keep this forward's patch slabs alive so the
-  // dW pass reads them instead of re-running im2col per sample. An op whose
-  // slab would push the global live total past the cap just runs uncached,
-  // and so does every op under a NoGradGuard: no backward will run.
+  // When backward will need dW, keep this forward's patch slabs alive for the
+  // dW pass to read. Without a weight gradient, or under a NoGradGuard (no
+  // backward will run), the slabs are per-task scratch.
   std::shared_ptr<PackCache> cache;
   if (weight.requires_grad() && autograd::grad_enabled()) {
-    const std::int64_t bytes =
-        d.n * col_rows * col_cols * static_cast<std::int64_t>(sizeof(float));
-    if (g_pack_cache_live.load(std::memory_order_relaxed) + bytes <=
-        g_pack_cache_cap.load(std::memory_order_relaxed)) {
-      cache = std::make_shared<PackCache>();
-      // Every slab is fully written by im2col below before the op returns.
-      cache->cols = Tensor::uninitialized({d.n, col_rows * col_cols});
-      cache->bytes = bytes;
-      g_pack_cache_live.fetch_add(bytes, std::memory_order_relaxed);
-    }
+    cache = std::make_shared<PackCache>();
+    // Every slab is fully written by im2col below before the op returns.
+    cache->cols = Tensor::uninitialized({d.n, col_rows * col_cols});
+    cache->bytes = d.n * col_rows * col_cols * static_cast<std::int64_t>(sizeof(float));
+    g_pack_cache_live.fetch_add(cache->bytes, std::memory_order_relaxed);
   }
 
   // Split over samples: each sample's output slab is written by exactly one
   // task with a kernel whose per-element accumulation order is fixed, so
   // results are bitwise identical at any thread count. The GEMM pack panels
-  // (and, uncached, the im2col column buffer) live in the task's scratch
+  // (and, with no cache, the im2col column buffer) live in the task's scratch
   // arena and are reused across samples and steps.
   g_im2col_calls.fetch_add(1, std::memory_order_relaxed);
   {
@@ -243,7 +232,8 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
       [in_node, w_node, b_node, d, stride, padding, has_bias, cache](const Tensor& g) {
         const std::int64_t col_rows = d.c * d.kh * d.kw;
         const std::int64_t col_cols = d.oh * d.ow;
-        const bool need_w = w_node->requires_grad;
+        // The forward cached its slabs exactly when the weight requires grad.
+        const bool need_w = cache != nullptr;
         const bool need_x = in_node->requires_grad;
         // dX is scatter-added into by col2im_accumulate: it needs the zero fill.
         Tensor dX = need_x ? Tensor(in_node->value.shape()) : Tensor();
@@ -256,26 +246,15 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
         // read only after the parallel_for joins.
         tensor::ScratchArena::Frame caller_frame(tensor::ScratchArena::tls());
         float* dw_partials = need_w ? caller_frame.alloc(d.n * wnumel) : nullptr;
-        const bool repack = need_w && !cache;
-        if (repack) g_im2col_calls.fetch_add(1, std::memory_order_relaxed);
         parallel::parallel_for(
             parallel::grain_for(d.o * col_rows * col_cols), d.n,
             [&](std::int64_t s_begin, std::int64_t s_end) {
               tensor::ScratchArena::Frame frame(tensor::ScratchArena::tls());
-              float* scratch_cols = repack ? frame.alloc(col_rows * col_cols) : nullptr;
               float* dcols = need_x ? frame.alloc(col_rows * col_cols) : nullptr;
               for (std::int64_t s = s_begin; s < s_end; ++s) {
                 const float* gs = g.data() + s * d.o * col_cols;
                 if (need_w) {
-                  const float* cols;
-                  if (cache) {
-                    cols = cache->cols.data() + s * col_rows * col_cols;
-                  } else {
-                    core::OpTimer t(core::ProfiledOp::kIm2col);
-                    im2col(in_node->value.data() + s * d.c * d.h * d.w, d, stride, padding,
-                           scratch_cols);
-                    cols = scratch_cols;
-                  }
+                  const float* cols = cache->cols.data() + s * col_rows * col_cols;
                   // dW_s[o, col_rows] = g_s[o, col_cols] * cols^T[col_cols, col_rows]
                   // through the packed double-accumulator kernel. gemm_f64acc
                   // keeps the float product / double ascending-k fold of the
@@ -348,108 +327,6 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
       });
 }
 
-Variable max_pool2d(const Variable& input, std::int64_t kernel, std::int64_t stride) {
-  const Tensor& x = input.value();
-  if (x.ndim() != 4) throw std::invalid_argument("max_pool2d: input must be rank 4");
-  if (kernel < 1 || stride < 1)
-    throw std::invalid_argument("max_pool2d: kernel and stride must be >= 1");
-  const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
-  const std::int64_t oh = (h - kernel) / stride + 1;
-  const std::int64_t ow = (w - kernel) / stride + 1;
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("max_pool2d: output would be empty");
-  Tensor out({n, c, oh, ow});
-  auto argmax = std::make_shared<std::vector<std::int64_t>>(
-      static_cast<std::size_t>(n * c * oh * ow));
-  // Split over (sample, channel) planes: writes to out/argmax are disjoint.
-  parallel::parallel_for(
-      parallel::grain_for(oh * ow * kernel * kernel), n * c,
-      [&](std::int64_t s_begin, std::int64_t s_end) {
-        for (std::int64_t s = s_begin; s < s_end; ++s) {
-          const float* plane = x.data() + s * h * w;
-          for (std::int64_t oi = 0; oi < oh; ++oi)
-            for (std::int64_t oj = 0; oj < ow; ++oj) {
-              float best = -std::numeric_limits<float>::infinity();
-              std::int64_t best_idx = 0;
-              for (std::int64_t ki = 0; ki < kernel; ++ki)
-                for (std::int64_t kj = 0; kj < kernel; ++kj) {
-                  const std::int64_t ii = oi * stride + ki, jj = oj * stride + kj;
-                  const float v = plane[ii * w + jj];
-                  if (v > best) {
-                    best = v;
-                    best_idx = ii * w + jj;
-                  }
-                }
-              const std::int64_t oidx = (s * oh + oi) * ow + oj;
-              out[oidx] = best;
-              (*argmax)[static_cast<std::size_t>(oidx)] = s * h * w + best_idx;
-            }
-        }
-      });
-  auto in_node = input.node();
-  const std::int64_t planes = n * c, plane_out = oh * ow;
-  return Variable::from_op(
-      std::move(out), {input}, [in_node, argmax, planes, plane_out](const Tensor& g) {
-        Tensor dx(in_node->value.shape());
-        // A plane's argmax indices all land in that plane of dx, so the
-        // scatter-add is race-free when split over planes.
-        parallel::parallel_for(
-            parallel::grain_for(plane_out), planes, [&](std::int64_t s_begin, std::int64_t s_end) {
-              for (std::int64_t i = s_begin * plane_out; i < s_end * plane_out; ++i)
-                dx[(*argmax)[static_cast<std::size_t>(i)]] += g[i];
-            });
-        in_node->accumulate_grad(dx);
-      });
-}
-
-Variable avg_pool2d(const Variable& input, std::int64_t kernel, std::int64_t stride) {
-  const Tensor& x = input.value();
-  if (x.ndim() != 4) throw std::invalid_argument("avg_pool2d: input must be rank 4");
-  if (kernel < 1 || stride < 1)
-    throw std::invalid_argument("avg_pool2d: kernel and stride must be >= 1");
-  const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
-  const std::int64_t oh = (h - kernel) / stride + 1;
-  const std::int64_t ow = (w - kernel) / stride + 1;
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("avg_pool2d: output would be empty");
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  Tensor out({n, c, oh, ow});
-  parallel::parallel_for(
-      parallel::grain_for(oh * ow * kernel * kernel), n * c,
-      [&](std::int64_t s_begin, std::int64_t s_end) {
-        for (std::int64_t s = s_begin; s < s_end; ++s) {
-          const float* plane = x.data() + s * h * w;
-          for (std::int64_t oi = 0; oi < oh; ++oi)
-            for (std::int64_t oj = 0; oj < ow; ++oj) {
-              double acc = 0.0;
-              for (std::int64_t ki = 0; ki < kernel; ++ki)
-                for (std::int64_t kj = 0; kj < kernel; ++kj)
-                  acc += plane[(oi * stride + ki) * w + (oj * stride + kj)];
-              out[(s * oh + oi) * ow + oj] = static_cast<float>(acc) * inv;
-            }
-        }
-      });
-  auto in_node = input.node();
-  return Variable::from_op(
-      std::move(out), {input}, [in_node, kernel, stride, inv, h, w, oh, ow](const Tensor& g) {
-        Tensor dx(in_node->value.shape());
-        const std::int64_t planes = dx.numel() / (h * w);
-        parallel::parallel_for(
-            parallel::grain_for(oh * ow * kernel * kernel), planes,
-            [&](std::int64_t s_begin, std::int64_t s_end) {
-              for (std::int64_t s = s_begin; s < s_end; ++s) {
-                float* dplane = dx.data() + s * h * w;
-                for (std::int64_t oi = 0; oi < oh; ++oi)
-                  for (std::int64_t oj = 0; oj < ow; ++oj) {
-                    const float gv = g[(s * oh + oi) * ow + oj] * inv;
-                    for (std::int64_t ki = 0; ki < kernel; ++ki)
-                      for (std::int64_t kj = 0; kj < kernel; ++kj)
-                        dplane[(oi * stride + ki) * w + (oj * stride + kj)] += gv;
-                  }
-              }
-            });
-        in_node->accumulate_grad(dx);
-      });
-}
-
 Variable global_avg_pool(const Variable& input) {
   const Tensor& x = input.value();
   if (x.ndim() != 4) throw std::invalid_argument("global_avg_pool: input must be rank 4");
@@ -477,20 +354,6 @@ Variable global_avg_pool(const Variable& input) {
           }
         });
     in_node->accumulate_grad(dx);
-  });
-}
-
-Variable dropout(const Variable& input, float p, bool training, tensor::Rng& rng) {
-  if (!training || p <= 0.0f) return input;
-  if (p >= 1.0f) throw std::invalid_argument("dropout: p must be < 1");
-  const float scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<Tensor>(input.shape());
-  for (std::int64_t i = 0; i < mask->numel(); ++i)
-    (*mask)[i] = rng.uniform() < p ? 0.0f : scale;
-  Tensor out = input.value().mul(*mask);
-  auto in_node = input.node();
-  return Variable::from_op(std::move(out), {input}, [in_node, mask](const Tensor& g) {
-    in_node->accumulate_grad(g.mul(*mask));
   });
 }
 

@@ -11,21 +11,8 @@ autograd::Variable conv2d(const autograd::Variable& input, const autograd::Varia
                           const autograd::Variable& bias, std::int64_t stride,
                           std::int64_t padding);
 
-/// Max pooling, NCHW. kernel k, stride s, zero "padding" excluded from max.
-autograd::Variable max_pool2d(const autograd::Variable& input, std::int64_t kernel,
-                              std::int64_t stride);
-
-/// Average pooling, NCHW.
-autograd::Variable avg_pool2d(const autograd::Variable& input, std::int64_t kernel,
-                              std::int64_t stride);
-
 /// Global average pool: [N, C, H, W] -> [N, C].
 autograd::Variable global_avg_pool(const autograd::Variable& input);
-
-/// Dropout: in training, zeroes entries with probability p and scales
-/// survivors by 1/(1-p) (inverted dropout). Identity when !training.
-autograd::Variable dropout(const autograd::Variable& input, float p, bool training,
-                           tensor::Rng& rng);
 
 /// Nearest-neighbour 2x upsample, NCHW (used by detection FPN-style heads).
 autograd::Variable upsample2x(const autograd::Variable& input);
@@ -43,22 +30,19 @@ autograd::Variable fused_scaled_softmax(const autograd::Variable& scores, float 
 
 // ---- conv pack cache & diagnostics -----------------------------------------
 
-/// Step-scoped im2col pack cache. conv2d's forward keeps its per-sample
-/// im2col patch slabs alive in a pooled Tensor owned by the backward closure
-/// — Variable::backward()'s graph teardown (or graph destruction) releases
-/// it at the end of the step — so the dW pass skips the per-sample re-pack.
-/// A conv op whose slab would push the global live total past the cap falls
-/// back to the re-pack path; a cap of 0 sends every conv there. Gradients
-/// are bitwise identical either way.
-inline constexpr std::int64_t kDefaultConvPackCacheCapBytes = std::int64_t{256} << 20;
-void set_conv_pack_cache_cap(std::int64_t cap_bytes);
+// Step-scoped im2col pack cache. A taped conv2d forward whose weight
+// requires grad keeps its per-sample im2col patch slabs alive in a pooled
+// Tensor owned by the backward closure, and the dW pass reads them from
+// there; Variable::backward()'s graph teardown (or graph destruction)
+// releases them at the end of the step. A forward under a NoGradGuard, or
+// whose weight needs no gradient, keeps no slabs.
+
 /// Bytes of cached patch slabs currently live (forwards whose backward has not
 /// yet run/torn down). Returns to 0 once all conv graphs of a step are freed.
 std::int64_t conv_pack_cache_live_bytes();
-/// Diagnostic counter: cumulative batched im2col sweeps (one per conv2d
-/// forward, plus one per dW backward that had to re-pack because its conv
-/// was over the cap). Under the cap, a train step costs exactly one sweep
-/// per conv layer; over it, two. Pinned in tests/test_autograd.cpp.
+/// Diagnostic counter: cumulative batched im2col sweeps, one per conv2d
+/// forward, so a train step costs exactly one sweep per conv layer. Pinned
+/// in tests/test_autograd.cpp.
 std::int64_t im2col_calls();
 
 // ---- losses ----------------------------------------------------------------

@@ -56,7 +56,7 @@ class Module {
     for (auto& p : parameters()) p.zero_grad();
   }
 
-  /// Train/eval mode (affects dropout, batchnorm). Propagates to children.
+  /// Train/eval mode (affects batchnorm). Propagates to children.
   void set_training(bool training) {
     training_ = training;
     for (auto* c : children_) c->set_training(training);

@@ -8,7 +8,7 @@ namespace mlperf::tensor {
 /// Deterministic, seedable pseudo-random generator (SplitMix64 core).
 ///
 /// Every stochastic component in the stack (weight init, shuffling,
-/// augmentation, dropout, negative sampling, MCTS) draws from an explicit
+/// augmentation, negative sampling, MCTS) draws from an explicit
 /// `Rng`, so run-to-run variance studies (paper Fig. 2/3) are reproducible:
 /// the same seed always yields the same training trajectory.
 class Rng {

@@ -367,14 +367,8 @@ Tensor Tensor::mul_scalar(float s) const {
   return map([s](float x) { return x * s; });
 }
 
-Tensor Tensor::neg() const {
-  return map([](float x) { return -x; });
-}
 Tensor Tensor::relu() const {
   return map([](float x) { return x > 0.0f ? x : 0.0f; });
-}
-Tensor Tensor::exp() const {
-  return map([](float x) { return std::exp(x); });
 }
 Tensor Tensor::log() const {
   return map([](float x) { return std::log(x); });
@@ -384,15 +378,6 @@ Tensor Tensor::tanh() const {
 }
 Tensor Tensor::sigmoid() const {
   return map([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor Tensor::sqrt() const {
-  return map([](float x) { return std::sqrt(x); });
-}
-Tensor Tensor::pow(float e) const {
-  return map([e](float x) { return std::pow(x, e); });
-}
-Tensor Tensor::clamp(float lo, float hi) const {
-  return map([lo, hi](float x) { return std::min(std::max(x, lo), hi); });
 }
 
 float Tensor::sum() const {
@@ -437,68 +422,6 @@ std::int64_t Tensor::argmax() const {
   if (data_.empty()) fail("argmax(): empty tensor");
   return static_cast<std::int64_t>(
       std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
-namespace {
-// Shared axis-reduction driver: out[pre, post] = reduce over axis.
-template <typename Init, typename Step, typename Fin>
-Tensor reduce_axis(const Tensor& t, std::int64_t axis, bool keepdim, Init init, Step step,
-                   Fin fin) {
-  auto nd = t.ndim();
-  if (axis < 0) axis += nd;
-  if (axis < 0 || axis >= nd) fail("axis reduction: axis out of range");
-  const auto& sh = t.shape();
-  std::int64_t pre = 1, post = 1;
-  for (std::int64_t i = 0; i < axis; ++i) pre *= sh[static_cast<std::size_t>(i)];
-  for (std::int64_t i = axis + 1; i < nd; ++i) post *= sh[static_cast<std::size_t>(i)];
-  const std::int64_t ax = sh[static_cast<std::size_t>(axis)];
-  Shape out_shape;
-  for (std::int64_t i = 0; i < nd; ++i) {
-    if (i == axis) {
-      if (keepdim) out_shape.push_back(1);
-    } else {
-      out_shape.push_back(sh[static_cast<std::size_t>(i)]);
-    }
-  }
-  if (out_shape.empty()) out_shape.push_back(1);
-  Tensor out = Tensor::uninitialized(out_shape);  // every dst[r] written below
-  const float* src = t.data();
-  float* dst = out.data();
-  // Each output element folds its axis in the original order, so splitting
-  // over output elements is bitwise identical at any thread count.
-  parallel::parallel_for(
-      parallel::grain_for(ax), pre * post, [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t r = begin; r < end; ++r) {
-          const std::int64_t p = r / post, q = r % post;
-          auto acc = init();
-          for (std::int64_t a = 0; a < ax; ++a)
-            acc = step(acc, src[(p * ax + a) * post + q]);
-          dst[r] = fin(acc, ax);
-        }
-      });
-  return out;
-}
-}  // namespace
-
-Tensor Tensor::sum_axis(std::int64_t axis, bool keepdim) const {
-  return reduce_axis(
-      *this, axis, keepdim, [] { return 0.0; },
-      [](double acc, float v) { return acc + v; },
-      [](double acc, std::int64_t) { return static_cast<float>(acc); });
-}
-
-Tensor Tensor::mean_axis(std::int64_t axis, bool keepdim) const {
-  return reduce_axis(
-      *this, axis, keepdim, [] { return 0.0; },
-      [](double acc, float v) { return acc + v; },
-      [](double acc, std::int64_t n) { return static_cast<float>(acc / static_cast<double>(n)); });
-}
-
-Tensor Tensor::max_axis(std::int64_t axis, bool keepdim) const {
-  return reduce_axis(
-      *this, axis, keepdim, [] { return -std::numeric_limits<float>::infinity(); },
-      [](float acc, float v) { return std::max(acc, v); },
-      [](float acc, std::int64_t) { return acc; });
 }
 
 std::vector<std::int64_t> Tensor::argmax_last() const {

@@ -97,9 +97,7 @@ class Tensor {
 
   // ----- elementwise & broadcast binary ops ---------------------------------
   Tensor add(const Tensor& o) const { return binary(o, std::plus<float>{}); }
-  Tensor sub(const Tensor& o) const { return binary(o, std::minus<float>{}); }
   Tensor mul(const Tensor& o) const { return binary(o, std::multiplies<float>{}); }
-  Tensor div(const Tensor& o) const { return binary(o, std::divides<float>{}); }
   Tensor add_scalar(float s) const;
   Tensor mul_scalar(float s) const;
   /// General broadcast binary op (NumPy right-aligned broadcast rules). The
@@ -165,15 +163,10 @@ class Tensor {
     });
     return out;
   }
-  Tensor neg() const;
   Tensor relu() const;
-  Tensor exp() const;
   Tensor log() const;
   Tensor tanh() const;
   Tensor sigmoid() const;
-  Tensor sqrt() const;
-  Tensor pow(float e) const;
-  Tensor clamp(float lo, float hi) const;
 
   // ----- reductions ---------------------------------------------------------
   float sum() const;
@@ -182,10 +175,6 @@ class Tensor {
   float min() const;
   /// Index of max element (flat).
   std::int64_t argmax() const;
-  /// Sum along one axis; keepdim keeps the axis with extent 1.
-  Tensor sum_axis(std::int64_t axis, bool keepdim = false) const;
-  Tensor mean_axis(std::int64_t axis, bool keepdim = false) const;
-  Tensor max_axis(std::int64_t axis, bool keepdim = false) const;
   /// Argmax along the last axis: shape drops the last dim.
   std::vector<std::int64_t> argmax_last() const;
 

@@ -76,13 +76,6 @@ TEST(AutogradCore, DiamondGraphGradientIsCorrect) {
   EXPECT_FLOAT_EQ(x.grad()[0], 12.0f);  // d(2x^2)/dx = 4x
 }
 
-TEST(AutogradCore, DetachBlocksGradient) {
-  Variable x(Tensor({1}, 2.0f), true);
-  Variable y = mul(detach(x), x);  // d/dx = detach(x) only
-  y.backward(Tensor({1}, 1.0f));
-  EXPECT_FLOAT_EQ(x.grad()[0], 2.0f);
-}
-
 TEST(AutogradCore, NoGradThroughNonRequiringLeaf) {
   Variable a(Tensor({2}, 1.0f), true);
   Variable b(Tensor({2}, 5.0f), false);
@@ -105,14 +98,10 @@ TEST(AutogradGradcheck, BroadcastAddReducesGrad) {
   gradcheck([&](const Variable& x) { return add(Variable(big), x); }, Tensor::randn({3}, rng));
 }
 
-TEST(AutogradGradcheck, MulAndDiv) {
+TEST(AutogradGradcheck, Mul) {
   Rng rng(3);
   Tensor b = Tensor::rand({2, 5}, rng, 0.5f, 2.0f);
   gradcheck([&](const Variable& x) { return mul(x, Variable(b)); }, Tensor::randn({2, 5}, rng));
-  gradcheck([&](const Variable& x) { return div(x, Variable(b)); }, Tensor::randn({2, 5}, rng));
-  Tensor num = Tensor::rand({2, 5}, rng, 0.5f, 2.0f);
-  gradcheck([&](const Variable& x) { return div(Variable(num), x); },
-            Tensor::rand({2, 5}, rng, 0.5f, 2.0f));
 }
 
 TEST(AutogradGradcheck, MatmulBothSides) {
@@ -136,10 +125,6 @@ TEST(AutogradGradcheck, UnaryOps) {
   Rng rng(6);
   gradcheck([](const Variable& x) { return tanh_op(x); }, Tensor::randn({8}, rng));
   gradcheck([](const Variable& x) { return sigmoid(x); }, Tensor::randn({8}, rng));
-  gradcheck([](const Variable& x) { return exp_op(x); }, Tensor::randn({8}, rng, 0.0f, 0.5f));
-  gradcheck([](const Variable& x) { return log_op(x); }, Tensor::rand({8}, rng, 0.5f, 2.0f));
-  gradcheck([](const Variable& x) { return sqrt_op(x); }, Tensor::rand({8}, rng, 0.5f, 2.0f));
-  gradcheck([](const Variable& x) { return neg(x); }, Tensor::randn({8}, rng));
 }
 
 TEST(AutogradGradcheck, ReluAwayFromKink) {
@@ -168,10 +153,6 @@ TEST(AutogradGradcheck, SliceAndCat) {
 TEST(AutogradGradcheck, Reductions) {
   Rng rng(10);
   gradcheck([](const Variable& x) { return sum_all(x); }, Tensor::randn({3, 3}, rng));
-  gradcheck([](const Variable& x) { return mean_all(x); }, Tensor::randn({3, 3}, rng));
-  gradcheck([](const Variable& x) { return sum_axis(x, 0); }, Tensor::randn({3, 4}, rng));
-  gradcheck([](const Variable& x) { return sum_axis(x, 1, true); }, Tensor::randn({3, 4}, rng));
-  gradcheck([](const Variable& x) { return mean_axis(x, -1); }, Tensor::randn({3, 4}, rng));
 }
 
 TEST(AutogradGradcheck, SoftmaxFamilies) {
@@ -220,7 +201,7 @@ TEST(AutogradChain, WeightGradientThroughDeepChain) {
       [&](const Variable& w) {
         Variable h = sigmoid(matmul(Variable(x), w));
         Variable h2 = mul(h, h);
-        return sum_axis(h2, 0);
+        return sum_all(h2);
       },
       Tensor::randn({4, 3}, rng, 0.0f, 0.5f));
 }
@@ -292,8 +273,7 @@ std::uint64_t fnv_tensor(const Tensor& t, std::uint64_t h) {
 // Three conv train steps with a manual SGD update; fingerprints every weight
 // and gradient after each step so a single bit of divergence anywhere in the
 // trajectory changes the hash.
-std::uint64_t conv_train_fingerprint(bool cache_on, int threads) {
-  nn::set_conv_pack_cache_cap(cache_on ? nn::kDefaultConvPackCacheCapBytes : 0);
+std::uint64_t conv_train_fingerprint(int threads) {
   parallel::set_num_threads(threads);
   Rng rng(77);
   Tensor w1t = Tensor::randn({4, 3, 3, 3}, rng);
@@ -316,7 +296,6 @@ std::uint64_t conv_train_fingerprint(bool cache_on, int threads) {
     for (const Tensor* t : parts) h = fnv_tensor(*t, h);
   }
   parallel::set_num_threads(1);
-  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
   return h;
 }
 
@@ -334,31 +313,14 @@ TEST(ConvPackCache, OneIm2colSweepPerConvLayerPerStep) {
     // cached slabs: nothing outlives the step.
     EXPECT_EQ(0, nn::conv_pack_cache_live_bytes());
   };
-  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
-  std::int64_t before = nn::im2col_calls();
+  const std::int64_t before = nn::im2col_calls();
   step();
-  EXPECT_EQ(2, nn::im2col_calls() - before) << "cached: one sweep per conv layer";
-
-  nn::set_conv_pack_cache_cap(0);
-  before = nn::im2col_calls();
-  step();
-  EXPECT_EQ(4, nn::im2col_calls() - before) << "uncached: forward + dW re-pack per layer";
-
-  // A cap too small for any slab degrades to the re-pack path, not an error.
-  nn::set_conv_pack_cache_cap(16);
-  before = nn::im2col_calls();
-  step();
-  EXPECT_EQ(4, nn::im2col_calls() - before) << "over-cap: behaves as uncached";
-
-  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
+  EXPECT_EQ(2, nn::im2col_calls() - before) << "one sweep per conv layer";
 }
 
-TEST(ConvPackCache, CachedAndUncachedTrainingBitwiseIdentical) {
-  const std::uint64_t want = conv_train_fingerprint(/*cache_on=*/false, /*threads=*/1);
-  for (int threads : {1, 2, 4, 8}) {
-    EXPECT_EQ(want, conv_train_fingerprint(false, threads)) << "uncached, t=" << threads;
-    EXPECT_EQ(want, conv_train_fingerprint(true, threads)) << "cached, t=" << threads;
-  }
+TEST(ConvPackCache, TrainingTrajectoryBitwiseIdenticalAcrossThreadCounts) {
+  const std::uint64_t want = conv_train_fingerprint(/*threads=*/1);
+  for (int threads : {2, 4, 8}) EXPECT_EQ(want, conv_train_fingerprint(threads)) << "t=" << threads;
 }
 
 // ---- NoGradGuard ---------------------------------------------------------------
@@ -419,7 +381,6 @@ TEST(NoGrad, ConvForwardKeepsNoPackCache) {
   Rng rng(92);
   const Variable x(Tensor::randn({2, 3, 8, 8}, rng));
   const Variable w(Tensor::randn({4, 3, 3, 3}, rng), true);
-  nn::set_conv_pack_cache_cap(nn::kDefaultConvPackCacheCapBytes);
   {
     const Variable taped = nn::conv2d(x, w, Variable(), 1, 1);
     EXPECT_GT(nn::conv_pack_cache_live_bytes(), 0) << "taped forward caches its slabs";

@@ -664,6 +664,29 @@ TEST_F(ResumeRejection, VersionFromTheFuture) {
   EXPECT_THROW(resume_into_ncf(), CheckpointError);
 }
 
+TEST_F(ResumeRejection, NegativeEpoch) {
+  // Valid CRCs, but the meta section claims epoch -1: rewrite every section,
+  // meta with its epoch field replaced.
+  const CheckpointReader in = CheckpointReader::read_file(opts_.checkpoint_path);
+  CheckpointWriter out;
+  for (const auto& info : in.sections()) {
+    ByteReader r = in.section(info.name);
+    ByteWriter& w = out.section(info.name);
+    if (info.name == "meta") {
+      w.put_string(r.get_string());
+      w.put_string(r.get_string());
+      w.put_u64(r.get_u64());
+      r.get_i64();
+      w.put_i64(-1);
+    }
+    std::vector<std::uint8_t> rest(r.remaining());
+    r.get_raw(rest.data(), rest.size());
+    w.put_raw(rest.data(), rest.size());
+  }
+  out.write_file(opts_.checkpoint_path);
+  EXPECT_THROW(resume_into_ncf(), CheckpointError);
+}
+
 TEST_F(ResumeRejection, MissingFile) {
   opts_.resume_from = tmp_path("does_not_exist.ckpt");
   EXPECT_THROW(resume_into_ncf(), std::runtime_error);

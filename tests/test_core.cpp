@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/aggregate.h"
 #include "core/benchmark_spec.h"
@@ -30,6 +31,24 @@ TEST(MlLog, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed.events()[1].meta.at("epoch"), "3");
   EXPECT_EQ(parsed.events()[2].as_string(), "acme \"labs\"");
   EXPECT_DOUBLE_EQ(parsed.events()[1].time_ms, 2.0);
+
+  // A day of steady-clock uptime in time_ms, a value that needs more than 6
+  // significant digits, and the NaN of a diverged run all read back exactly.
+  MlLog exact;
+  exact.log(86400000.125, keys::kEvalAccuracy, 0.7499996);
+  exact.log(86400001.0, keys::kEvalAccuracy, std::nan(""));
+  const MlLog back = MlLog::parse(exact.serialize());
+  ASSERT_EQ(back.events().size(), 2u);
+  const double want_t = 86400000.125, want_v = 0.7499996;
+  const double got_t = back.events()[0].time_ms, got_v = back.events()[0].as_number();
+  EXPECT_EQ(0, std::memcmp(&want_t, &got_t, sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&want_v, &got_v, sizeof(double)));
+  EXPECT_TRUE(std::isnan(back.events()[1].as_number()));
+}
+
+TEST(MlLog, ParseRejectsTrailingCharacters) {
+  EXPECT_THROW(MlLog::parse("{\"time_ms\": 1, \"key\": \"k\", \"value\": 2} x\n"),
+               std::invalid_argument);
 }
 
 TEST(MlLog, FindVariants) {

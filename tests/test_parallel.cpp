@@ -327,7 +327,7 @@ TEST_F(ParallelTest, PoolingBitwiseIdenticalAcrossThreadCounts) {
   Tensor x = Tensor::randn({4, 6, 12, 12}, rng);
   auto run = [&] {
     autograd::Variable vx(x, true);
-    autograd::Variable y = nn::max_pool2d(vx, 2, 2);
+    autograd::Variable y = nn::global_avg_pool(vx);
     autograd::sum_all(y).backward();
     return std::pair<Tensor, Tensor>{y.value(), vx.grad()};
   };

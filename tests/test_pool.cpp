@@ -162,7 +162,7 @@ TEST(TensorPoolSteadyState, ConvTrainStepHasZeroPoolMisses) {
   auto step = [&] {
     GraphEpoch scope;
     Variable out = conv.forward(Variable(images));
-    Variable loss = autograd::mean_all(out);
+    Variable loss = autograd::sum_all(out);
     opt.zero_grad();
     loss.backward();
     opt.step(0.05f);
@@ -186,7 +186,7 @@ TEST(TensorPoolSteadyState, AttentionTrainStepHasZeroPoolMisses) {
     GraphEpoch scope;
     Variable q(x);
     Variable out = attn.forward(q, q, q, /*causal=*/true);
-    Variable loss = autograd::mean_all(out);
+    Variable loss = autograd::sum_all(out);
     opt.zero_grad();
     loss.backward();
     opt.step(1e-3f);
