@@ -19,11 +19,36 @@ using namespace mlperf;
 
 namespace {
 
-/// A deliberately non-reference model: plain 2-conv CNN + Adam + reordered
+/// A plain 3-conv CNN: no residuals, no batch norm.
+class PlainCnn : public nn::Module {
+ public:
+  explicit PlainCnn(tensor::Rng& rng)
+      : conv1_(3, 16, 3, 1, 1, rng, true), conv2_(16, 32, 3, 2, 1, rng, true),
+        conv3_(32, 32, 3, 2, 1, rng, true), fc_(32, 10, rng) {
+    register_module("conv1", conv1_);
+    register_module("conv2", conv2_);
+    register_module("conv3", conv3_);
+    register_module("fc", fc_);
+  }
+
+  autograd::Variable forward(const tensor::Tensor& images) {
+    using namespace autograd;
+    Variable x = relu(conv1_.forward(Variable(images)));
+    x = relu(conv2_.forward(x));
+    x = relu(conv3_.forward(x));
+    return fc_.forward(nn::global_avg_pool(x));
+  }
+
+ private:
+  nn::Conv2d conv1_, conv2_, conv3_;
+  nn::Linear fc_;
+};
+
+/// A deliberately non-reference model: plain CNN + Adam + reordered
 /// augmentation. Same dataset, same top-1 metric — Open-division legal.
 class CustomCnnWorkload : public models::Workload {
  public:
-  CustomCnnWorkload() : dataset_(data::SyntheticImageDataset::Config{}), rng_(1) {
+  CustomCnnWorkload() : dataset_(data::SyntheticImageDataset::Config{}) {
     augment_.add(std::make_unique<data::RandomHorizontalFlip>(0.5f))
         .add(std::make_unique<data::RandomCrop>(2));  // flipped order vs reference
   }
@@ -33,34 +58,19 @@ class CustomCnnWorkload : public models::Workload {
   void prepare_data() override { splits_ = data::reformat(dataset_); }
 
   void build_model(std::uint64_t seed) override {
-    rng_ = tensor::Rng(seed);
-    tensor::Rng init = rng_.split();
-    conv1_ = std::make_unique<nn::Conv2d>(3, 16, 3, 1, 1, init, true);
-    conv2_ = std::make_unique<nn::Conv2d>(16, 32, 3, 2, 1, init, true);
-    conv3_ = std::make_unique<nn::Conv2d>(32, 32, 3, 2, 1, init, true);
-    fc_ = std::make_unique<nn::Linear>(32, 10, init);
-    std::vector<autograd::Variable> params;
-    for (auto* m :
-         {static_cast<nn::Module*>(conv1_.get()), static_cast<nn::Module*>(conv2_.get()),
-          static_cast<nn::Module*>(conv3_.get()), static_cast<nn::Module*>(fc_.get())})
-      for (auto& p : m->parameters()) params.push_back(p);
-    optimizer_ = std::make_unique<optim::Adam>(params);
+    tensor::Rng init = reseed(seed);
+    model_ = std::make_unique<PlainCnn>(init);
+    optimizer_ = std::make_unique<optim::Adam>(model_->parameters());
   }
 
-  autograd::Variable forward(const tensor::Tensor& images) {
-    using namespace autograd;
-    Variable x = relu(conv1_->forward(Variable(images)));
-    x = relu(conv2_->forward(x));
-    x = relu(conv3_->forward(x));
-    return fc_->forward(nn::global_avg_pool(x));
-  }
+  PlainCnn* model() const override { return model_.get(); }
 
   void train_epoch() override {
     data::ImageLoader loader(splits_.train, 32, &augment_, rng_);
     while (loader.has_next()) {
       models::train_step(*optimizer_, {.lr = 2e-3f}, [&] {
         data::ImageBatch batch = loader.next();
-        return nn::cross_entropy(forward(batch.images), batch.labels);
+        return nn::cross_entropy(model_->forward(batch.images), batch.labels);
       });
     }
   }
@@ -71,7 +81,7 @@ class CustomCnnWorkload : public models::Workload {
     std::vector<std::int64_t> preds, targets;
     while (loader.has_next()) {
       data::ImageBatch batch = loader.next();
-      for (auto p : forward(batch.images).value().argmax_last()) preds.push_back(p);
+      for (auto p : model_->forward(batch.images).value().argmax_last()) preds.push_back(p);
       targets.insert(targets.end(), batch.labels.begin(), batch.labels.end());
     }
     return metrics::top1_accuracy(preds, targets);
@@ -89,10 +99,7 @@ class CustomCnnWorkload : public models::Workload {
   data::SyntheticImageDataset dataset_;
   data::ReformattedSplits splits_;
   data::AugmentationPipeline augment_;
-  std::unique_ptr<nn::Conv2d> conv1_, conv2_, conv3_;
-  std::unique_ptr<nn::Linear> fc_;
-  std::unique_ptr<optim::Adam> optimizer_;
-  tensor::Rng rng_;
+  std::unique_ptr<PlainCnn> model_;
 };
 
 }  // namespace

@@ -6,14 +6,16 @@
 // where benchmark is one of: image_classification, object_detection_light,
 // object_detection_heavy, translation_recurrent, translation_nonrecurrent,
 // recommendation, reinforcement_learning (default: recommendation — the
-// fastest one), and num_threads sizes the intra-op worker pool (default 1;
-// the result is bitwise identical at any value). Flags:
+// fastest one), and num_threads sizes the intra-op worker pool (1 to 256,
+// default 1; the result is bitwise identical at any value). Flags:
 //
 //   --checkpoint_every_n_epochs=N  write a full-state checkpoint every N epochs
+//                                  (1 to 120)
 //   --checkpoint_path=FILE         where to write it (default quickstart.ckpt)
 //   --resume_from=FILE             resume a preempted run from this checkpoint
 //   --kill_after_epoch=K           fault injection: SIGKILL after epoch K
-//                                  (for crash-resume testing; exits 137)
+//                                  (1 to 120; for crash-resume testing;
+//                                  exits 137)
 //   --pool_stats                   print tensor-pool counters and im2col
 //                                  sweeps after the run; CI greps the
 //                                  steady-state miss and pack-cache lines
@@ -22,11 +24,11 @@
 //                                  (also emitted as op_profile log events)
 //
 // Exits 0 when the run reaches its target, 1 when it misses or on a usage
-// error, and 2 with "error: <what>" when the run throws (for example on a
+// error (an unknown flag or benchmark, an integer that is not whole or out of
+// range), and 2 with "error: <what>" when the run throws (for example on a
 // corrupt --resume_from checkpoint).
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <string>
@@ -41,6 +43,21 @@
 using namespace mlperf;
 
 namespace {
+
+constexpr long kMaxEpochs = 120;
+constexpr long kMaxThreads = 256;
+
+/// The whole of `text` as a base-10 integer in [lo, hi]; prints a usage
+/// error naming `what` and returns nullopt otherwise.
+std::optional<long> parse_int(const std::string& text, const char* what, long lo, long hi) {
+  long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && value >= lo && value <= hi) return value;
+  std::fprintf(stderr, "%s must be an integer in [%ld, %ld], got '%s'\n", what, lo, hi,
+               text.c_str());
+  return std::nullopt;
+}
 
 int run_quickstart(int argc, char** argv) {
   std::vector<std::string> positional;
@@ -58,13 +75,17 @@ int run_quickstart(int argc, char** argv) {
       return std::nullopt;
     };
     if (auto v = flag_value("checkpoint_every_n_epochs")) {
-      checkpoint_every = std::strtol(v->c_str(), nullptr, 10);
+      const auto n = parse_int(*v, "--checkpoint_every_n_epochs", 1, kMaxEpochs);
+      if (!n) return 1;
+      checkpoint_every = *n;
     } else if (auto v = flag_value("checkpoint_path")) {
       checkpoint_path = *v;
     } else if (auto v = flag_value("resume_from")) {
       resume_from = *v;
     } else if (auto v = flag_value("kill_after_epoch")) {
-      kill_after_epoch = std::strtol(v->c_str(), nullptr, 10);
+      const auto k = parse_int(*v, "--kill_after_epoch", 1, kMaxEpochs);
+      if (!k) return 1;
+      kill_after_epoch = *k;
     } else if (arg == "--pool_stats") {
       pool_stats = true;
     } else if (arg == "--op_profile") {
@@ -103,14 +124,11 @@ int run_quickstart(int argc, char** argv) {
   auto workload = harness::make_reference_workload(id, harness::WorkloadScale::kReference);
   harness::RunOptions opts;
   opts.seed = 42;
-  opts.max_epochs = 120;
+  opts.max_epochs = kMaxEpochs;
   if (positional.size() > 1) {
-    const long threads = std::strtol(positional[1].c_str(), nullptr, 10);
-    if (threads < 1) {
-      std::fprintf(stderr, "num_threads must be >= 1, got '%s'\n", positional[1].c_str());
-      return 1;
-    }
-    opts.num_threads = threads;
+    const auto threads = parse_int(positional[1], "num_threads", 1, kMaxThreads);
+    if (!threads) return 1;
+    opts.num_threads = *threads;
   }
   if (checkpoint_every > 0) {
     opts.checkpoint_every_n_epochs = checkpoint_every;

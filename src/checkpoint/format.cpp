@@ -58,6 +58,7 @@ void ByteReader::require(std::size_t size) const {
 
 void ByteReader::get_raw(void* out, std::size_t size) {
   require(size);
+  if (size == 0) return;  // `out` may be null (an empty vector's data())
   std::memcpy(out, data_ + offset_, size);
   offset_ += size;
 }
@@ -65,6 +66,12 @@ void ByteReader::get_raw(void* out, std::size_t size) {
 void ByteReader::skip(std::size_t size) {
   require(size);
   offset_ += size;
+}
+
+void ByteReader::expect_done() const {
+  if (!done())
+    throw CheckpointError("checkpoint section '" + section_ + "' has " +
+                          std::to_string(remaining()) + " unread trailing bytes");
 }
 
 std::string ByteReader::get_string() {
@@ -114,37 +121,27 @@ ByteWriter& CheckpointWriter::section(const std::string& name) {
   return sections_.back().second;
 }
 
-bool CheckpointWriter::has_section(const std::string& name) const {
-  for (const auto& [n, w] : sections_)
-    if (n == name) return true;
-  return false;
-}
-
-std::size_t CheckpointWriter::byte_size() const {
-  std::size_t total = sizeof(kMagic) + sizeof(kFormatVersion) + sizeof(std::uint64_t);
-  for (const auto& [name, w] : sections_)
-    total += sizeof(std::uint64_t) + name.size() +  // name
-             sizeof(std::uint64_t) + sizeof(std::uint32_t) + w.size();
-  return total;
-}
-
 std::vector<std::uint8_t> CheckpointWriter::serialize() const {
   ByteWriter out;
   out.put_u32(kMagic);
   out.put_u32(kFormatVersion);
   out.put_u64(sections_.size());
+  out.put_u32(crc32c(out.bytes().data(), out.size()));
   for (const auto& [name, w] : sections_) {
+    const std::size_t entry = out.size();
     out.put_string(name);
     out.put_u64(w.size());
-    out.put_u32(crc32c(w.bytes().data(), w.size()));
+    const std::uint32_t table_crc = crc32c(out.bytes().data() + entry, out.size() - entry);
+    out.put_u32(crc32c(w.bytes().data(), w.size(), table_crc));
     out.put_raw(w.bytes().data(), w.size());
   }
   return out.bytes();
 }
 
-void CheckpointWriter::write_file(const std::string& path) const {
+std::size_t CheckpointWriter::write_file(const std::string& path) const {
   const std::vector<std::uint8_t> bytes = serialize();
   core::atomic_write_file(path, bytes.data(), bytes.size());
+  return bytes.size();
 }
 
 namespace {
@@ -152,13 +149,14 @@ namespace {
 // The header and section-table walk both readers share. Strict
 // (CheckpointReader::parse) rejects a bad magic, a version mismatch, a CRC
 // mismatch and trailing bytes. Lenient (inspect_file) reports them instead,
-// and stops before the table on a bad magic. Either way an implausible
-// section count or a payload cut short throws.
+// and stops before the table on a bad magic or version. Either way an
+// implausible section count or a payload cut short throws.
 InspectReport walk_sections(const std::vector<std::uint8_t>& bytes, const std::string& origin,
                             bool strict) {
   InspectReport report;
   report.file_bytes = bytes.size();
   ByteReader header(bytes.data(), bytes.size(), "header:" + origin);
+  auto offset = [&] { return bytes.size() - header.remaining(); };
   report.magic = header.get_u32();
   report.magic_ok = report.magic == kMagic;
   if (strict && !report.magic_ok)
@@ -169,24 +167,31 @@ InspectReport walk_sections(const std::vector<std::uint8_t>& bytes, const std::s
     throw CheckpointError("checkpoint format version mismatch in " + origin + ": file has v" +
                           std::to_string(report.version) + ", this build reads v" +
                           std::to_string(kFormatVersion));
-  if (!report.magic_ok) return report;  // not our file; stop before the table walk
+  if (!report.magic_ok || !report.version_ok) return report;  // not a layout we read
   const std::uint64_t count = header.get_u64();
+  const std::uint32_t computed_header_crc = crc32c(bytes.data(), offset());
+  report.header_crc_ok = header.get_u32() == computed_header_crc;
+  if (strict && !report.header_crc_ok)
+    throw CheckpointError("checkpoint corrupted in " + origin + ": header CRC32C mismatch");
   if (count > 1024)
     throw CheckpointError(strict ? "implausible section count " + std::to_string(count) +
                                        " in " + origin
                                  : "implausible section count in " + origin);
   for (std::uint64_t i = 0; i < count; ++i) {
     CheckpointReader::SectionInfo info;
+    const std::size_t entry = offset();
     info.name = header.get_string();
     info.size = header.get_u64();
+    const std::uint32_t table_crc = crc32c(bytes.data() + entry, offset() - entry);
     info.stored_crc = header.get_u32();
     if (info.size > header.remaining())
       throw CheckpointError("checkpoint truncated in " + origin + ": section '" + info.name +
                             (strict ? "' claims " + std::to_string(info.size) + " bytes, " +
                                           std::to_string(header.remaining()) + " remain"
                                     : std::string("' payload cut short")));
-    info.offset = bytes.size() - header.remaining();
-    info.computed_crc = crc32c(bytes.data() + info.offset, static_cast<std::size_t>(info.size));
+    info.offset = offset();
+    info.computed_crc =
+        crc32c(bytes.data() + info.offset, static_cast<std::size_t>(info.size), table_crc);
     if (strict && !info.crc_ok())
       throw CheckpointError("checkpoint corrupted in " + origin + ": section '" + info.name +
                             "' CRC32C mismatch (stored " + std::to_string(info.stored_crc) +
@@ -194,8 +199,9 @@ InspectReport walk_sections(const std::vector<std::uint8_t>& bytes, const std::s
     header.skip(static_cast<std::size_t>(info.size));
     report.sections.push_back(std::move(info));
   }
-  if (strict && !header.done())
-    throw CheckpointError("checkpoint has " + std::to_string(header.remaining()) +
+  report.trailing_bytes = header.remaining();
+  if (strict && report.trailing_bytes != 0)
+    throw CheckpointError("checkpoint has " + std::to_string(report.trailing_bytes) +
                           " trailing bytes in " + origin);
   return report;
 }
@@ -236,6 +242,13 @@ ByteReader CheckpointReader::section(const std::string& name) const {
       return ByteReader(bytes_.data() + infos_[i].offset,
                         static_cast<std::size_t>(infos_[i].size), name);
   throw CheckpointError("checkpoint is missing section '" + name + "'");
+}
+
+bool InspectReport::ok() const {
+  if (!magic_ok || !version_ok || !header_crc_ok || trailing_bytes != 0) return false;
+  for (const auto& s : sections)
+    if (!s.crc_ok()) return false;
+  return true;
 }
 
 InspectReport inspect_file(const std::string& path) {

@@ -26,19 +26,21 @@ class CheckpointError : public std::runtime_error {
 ///   u32 format version (kFormatVersion; a mismatch is an error, never a
 ///                       best-effort parse)
 ///   u64 section count
+///   u32 CRC32C of the 16 bytes above
 ///   per section:
 ///     u64 name length, name bytes
 ///     u64 payload length
-///     u32 CRC32C of the payload
+///     u32 CRC32C of the name length, name, payload length and payload
 ///     payload bytes
 ///
+/// Every byte of the file is under a CRC, so any flipped byte is caught.
 /// Sections are independent byte blobs ("meta", "curve", "timer", "log",
 /// "model", "optimizer", "rng", ...); each carries its own CRC so corruption
 /// is localized in error messages. Files are written atomically
 /// (core::atomic_write_file), so a crash mid-save never clobbers the previous
 /// checkpoint.
 inline constexpr std::uint32_t kMagic = 0x4B434C4DU;  // "MLCK" little-endian
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// CRC32C (Castagnoli), the checksum used per section. Software table
 /// implementation; `seed` chains incremental updates.
@@ -90,7 +92,8 @@ class ByteReader {
 
   std::size_t remaining() const { return size_ - offset_; }
   bool done() const { return offset_ == size_; }
-  const std::string& section_name() const { return section_; }
+  /// Throws unless every byte of the section was read.
+  void expect_done() const;
 
  private:
   template <typename T>
@@ -116,30 +119,28 @@ class CheckpointWriter {
   /// Returned references stay valid across later section() calls, so callers
   /// may hold several builders and interleave writes.
   ByteWriter& section(const std::string& name);
-  bool has_section(const std::string& name) const;
 
-  /// Serialized size of the file this writer would produce.
-  std::size_t byte_size() const;
   /// Serialize to memory (header + CRC'd sections).
   std::vector<std::uint8_t> serialize() const;
-  /// Serialize and write atomically (temp file + rename).
-  void write_file(const std::string& path) const;
+  /// Serialize and write atomically (temp file + rename); returns the bytes
+  /// written.
+  std::size_t write_file(const std::string& path) const;
 
  private:
   // deque: section() hands out references that must survive later insertions.
   std::deque<std::pair<std::string, ByteWriter>> sections_;
 };
 
-/// Parses and fully validates a checkpoint: magic, format version, and every
-/// section CRC are checked up front, so by the time any state is restored
-/// the file is known to be intact. All failures throw CheckpointError.
+/// Parses and fully validates a checkpoint: magic, format version, the header
+/// CRC and every section CRC are checked up front, so by the time any state
+/// is restored the file is known to be intact. All failures throw CheckpointError.
 class CheckpointReader {
  public:
   struct SectionInfo {
     std::string name;
     std::uint64_t size = 0;
     std::uint32_t stored_crc = 0;
-    std::uint32_t computed_crc = 0;
+    std::uint32_t computed_crc = 0;  ///< over the table entry and the payload
     std::size_t offset = 0;  ///< payload offset in the file
     bool crc_ok() const { return stored_crc == computed_crc; }
   };
@@ -161,17 +162,23 @@ class CheckpointReader {
   std::vector<SectionInfo> infos_;
 };
 
-/// Lenient header walk for `tools/ckpt_inspect`: never throws on CRC or
-/// version problems — it reports them, so a damaged checkpoint can still be
-/// examined. Structural truncation that prevents walking the section table
+/// Lenient header walk for `tools/ckpt_inspect`: never throws on CRC,
+/// version or trailing-byte problems — it reports them, so a damaged
+/// checkpoint can still be examined. It stops before the section table when
+/// the magic or version is not this build's. Structural damage that prevents
+/// walking the table (an implausible count or length, a payload cut short)
 /// still throws CheckpointError.
 struct InspectReport {
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   bool magic_ok = false;
   bool version_ok = false;
+  bool header_crc_ok = false;
   std::uint64_t file_bytes = 0;
+  std::uint64_t trailing_bytes = 0;  ///< bytes after the last section
   std::vector<CheckpointReader::SectionInfo> sections;
+  /// True iff nothing is damaged.
+  bool ok() const;
 };
 InspectReport inspect_file(const std::string& path);
 

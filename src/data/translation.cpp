@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "checkpoint/format.h"
+
 namespace mlperf::data {
 
 using tensor::Rng;
@@ -68,6 +70,32 @@ LengthBuckets length_buckets(const SyntheticTranslationDataset& dataset, Split s
   for (std::int64_t i = 0; i < n; ++i)
     buckets[(train ? dataset.train(i) : dataset.val(i)).source.size()].push_back(i);
   return buckets;
+}
+
+void write_length_buckets(checkpoint::ByteWriter& out, const LengthBuckets& buckets) {
+  out.put_u64(buckets.size());
+  for (const std::vector<std::int64_t>& bucket : buckets) {
+    out.put_u64(bucket.size());
+    out.put_raw(bucket.data(), bucket.size() * sizeof(std::int64_t));
+  }
+}
+
+void read_length_buckets(checkpoint::ByteReader& in, LengthBuckets& buckets) {
+  using checkpoint::CheckpointError;
+  if (in.get_u64() != buckets.size())
+    throw CheckpointError("length buckets: bucket count differs from the live dataset's");
+  LengthBuckets restored = buckets;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    if (in.get_u64() != buckets[b].size())
+      throw CheckpointError("length buckets: bucket " + std::to_string(b) +
+                            " size differs from the live bucket's");
+    in.get_raw(restored[b].data(), restored[b].size() * sizeof(std::int64_t));
+    if (!std::is_permutation(restored[b].begin(), restored[b].end(), buckets[b].begin()))
+      throw CheckpointError("length buckets: bucket " + std::to_string(b) +
+                            " holds indices that are not its own");
+  }
+  in.expect_done();
+  buckets = std::move(restored);
 }
 
 std::vector<TranslationBatch> shuffled_bucket_batches(const SyntheticTranslationDataset& dataset,

@@ -5,6 +5,11 @@
 
 #include "tensor/rng.h"
 
+namespace mlperf::checkpoint {
+class ByteWriter;
+class ByteReader;
+}  // namespace mlperf::checkpoint
+
 namespace mlperf::data {
 
 /// Token ids. Reserved: 0 = PAD, 1 = BOS, 2 = EOS; "words" start at 3.
@@ -75,6 +80,15 @@ enum class Split { kTrain, kVal };
 /// bucket are equal-length, which batched encode/decode needs.
 using LengthBuckets = std::vector<std::vector<std::int64_t>>;
 LengthBuckets length_buckets(const SyntheticTranslationDataset& dataset, Split split);
+
+/// Checkpoint payload for training buckets: shuffled_bucket_batches shuffles
+/// them in place, so their order carries from one epoch into the next.
+void write_length_buckets(checkpoint::ByteWriter& out, const LengthBuckets& buckets);
+/// Reads the whole payload into `buckets`. Strict: the payload must hold as
+/// many buckets as `buckets`, each with the same indices (in any order), and
+/// nothing else; otherwise checkpoint::CheckpointError and `buckets` is left
+/// as it was.
+void read_length_buckets(checkpoint::ByteReader& in, LengthBuckets& buckets);
 
 /// One equal-length teacher-forcing batch: sources, decoder inputs (BOS +
 /// target) and the flat next-token targets (each target followed by EOS).

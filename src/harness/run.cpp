@@ -21,9 +21,6 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
   if (checkpointing && options.checkpoint_path.empty())
     throw std::invalid_argument(
         "run_to_target: checkpoint_every_n_epochs set but checkpoint_path is empty");
-  if ((checkpointing || !options.resume_from.empty()) && !workload.supports_checkpoint())
-    throw std::logic_error("run_to_target: workload '" + workload.name() +
-                           "' does not support checkpointing");
 
   parallel::set_num_threads(options.num_threads);
   if (options.op_profile) core::OpProfile::reset();
@@ -143,11 +140,11 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     tsec.put_f64(timer.unexcluded_so_far_ms());
     w.section("log").put_string(log.serialize());
     workload.save_state(w);
-    w.write_file(options.checkpoint_path);
+    const std::size_t bytes = w.write_file(options.checkpoint_path);
     ++outcome.checkpoints_written;
     log.log(clock.now_ms(), core::keys::kCheckpointSaved, static_cast<double>(epochs_done),
             {{"path", options.checkpoint_path},
-             {"bytes", std::to_string(w.byte_size())},
+             {"bytes", std::to_string(bytes)},
              {"write_ms", std::to_string(clock.now_ms() - save_t0)}});
     last_checkpoint = options.checkpoint_path;
   };

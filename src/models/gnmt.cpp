@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "checkpoint/format.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -168,7 +169,7 @@ std::vector<TokenSeq> GnmtModel::greedy_translate(const std::vector<TokenSeq>& s
   return out;
 }
 
-GnmtWorkload::GnmtWorkload(Config config) : config_(std::move(config)), rng_(1) {
+GnmtWorkload::GnmtWorkload(Config config) : config_(std::move(config)) {
   config_.model.vocab = config_.dataset.vocab + data::kFirstWord;
 }
 
@@ -178,8 +179,7 @@ void GnmtWorkload::prepare_data() {
 }
 
 void GnmtWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   model_ = std::make_unique<GnmtModel>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::Adam>(model_->parameters());
 }
@@ -200,6 +200,15 @@ double GnmtWorkload::evaluate() {
                         [&](const std::vector<TokenSeq>& src, std::int64_t max_len) {
                           return model_->greedy_translate(src, max_len);
                         });
+}
+
+void GnmtWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
+  data::write_length_buckets(out.section("buckets"), length_buckets_);
+}
+
+void GnmtWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
+  checkpoint::ByteReader buckets = in.section("buckets");
+  data::read_length_buckets(buckets, length_buckets_);
 }
 
 std::map<std::string, double> GnmtWorkload::hyperparameters() const {

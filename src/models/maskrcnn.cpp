@@ -176,7 +176,7 @@ Variable MaskRcnnModel::mask_head(const Variable& roi_feats) {
 
 // ---- workload ---------------------------------------------------------------
 
-MaskRcnnWorkload::MaskRcnnWorkload(Config config) : config_(std::move(config)), rng_(1) {
+MaskRcnnWorkload::MaskRcnnWorkload(Config config) : config_(std::move(config)) {
   config_.model.in_channels = config_.dataset.channels;
   config_.model.image_size = config_.dataset.height;
   config_.model.num_classes = config_.dataset.num_classes;
@@ -187,8 +187,7 @@ void MaskRcnnWorkload::prepare_data() {
 }
 
 void MaskRcnnWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   model_ = std::make_unique<MaskRcnnModel>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::SgdMomentum>(model_->parameters(), config_.momentum);
 }

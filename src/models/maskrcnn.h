@@ -97,6 +97,7 @@ class MaskRcnnWorkload : public Workload {
   std::int64_t global_batch_size() const override { return 1; }  // per-image training
   std::string model_signature() const override { return "Mask R-CNN"; }
   std::string optimizer_name() const override { return "sgd_momentum"; }
+  MaskRcnnModel* model() const override { return model_.get(); }
   std::string augmentation_signature() const override { return "horizontal_flip"; }
 
   struct EvalDetail {
@@ -113,8 +114,6 @@ class MaskRcnnWorkload : public Workload {
   Config config_;
   std::unique_ptr<data::SyntheticDetectionDataset> dataset_;
   std::unique_ptr<MaskRcnnModel> model_;
-  std::unique_ptr<optim::SgdMomentum> optimizer_;
-  tensor::Rng rng_;
 };
 
 }  // namespace mlperf::models

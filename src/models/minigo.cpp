@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "checkpoint/format.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -263,7 +264,7 @@ Mcts::Evaluator heuristic_evaluator() {
 
 // ---- workload ----------------------------------------------------------------
 
-MiniGoWorkload::MiniGoWorkload(Config config) : config_(std::move(config)), rng_(1) {
+MiniGoWorkload::MiniGoWorkload(Config config) : config_(std::move(config)) {
   config_.model.board_size = config_.board_size;
 }
 
@@ -286,14 +287,13 @@ void MiniGoWorkload::prepare_data() {
 }
 
 void MiniGoWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
   if (config_.nondeterministic_scheduling) {
     // Fig. 2's fixed-seed variability: mix in a wall-clock-derived value, the
     // analogue of thread-scheduling nondeterminism in the real pipeline.
     const auto now = std::chrono::steady_clock::now().time_since_epoch().count();
-    rng_ = tensor::Rng(seed ^ static_cast<std::uint64_t>(now));
+    seed ^= static_cast<std::uint64_t>(now);
   }
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   net_ = std::make_unique<PolicyValueNet>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::SgdMomentum>(net_->parameters(), config_.momentum);
   replay_.clear();
@@ -380,6 +380,41 @@ double MiniGoWorkload::evaluate() {
   for (std::size_t i = 0; i < predicted.size(); ++i)
     if (predicted[i] == reference[i]) ++hits;
   return static_cast<double>(hits) / static_cast<double>(predicted.size());
+}
+
+void MiniGoWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
+  checkpoint::ByteWriter& replay = out.section("replay");
+  replay.put_u64(replay_.size());
+  for (const SelfPlayExample& ex : replay_) {
+    replay.put_tensor(ex.planes);
+    replay.put_u64(ex.pi.size());
+    replay.put_raw(ex.pi.data(), ex.pi.size() * sizeof(float));
+    replay.put_f64(ex.z);
+  }
+}
+
+void MiniGoWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
+  using checkpoint::CheckpointError;
+  checkpoint::ByteReader replay = in.section("replay");
+  const std::uint64_t count = replay.get_u64();
+  if (count > static_cast<std::uint64_t>(config_.replay_capacity))
+    throw CheckpointError("replay: " + std::to_string(count) + " examples exceed capacity " +
+                          std::to_string(config_.replay_capacity));
+  const std::int64_t bs = config_.board_size;
+  // Each record is read, and its bytes checked, before the next is allocated.
+  std::deque<SelfPlayExample> restored;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    SelfPlayExample& ex = restored.emplace_back();
+    ex.planes = replay.get_tensor();
+    if (ex.planes.shape() != tensor::Shape{3, bs, bs} ||
+        replay.get_u64() != static_cast<std::uint64_t>(bs * bs + 1))
+      throw CheckpointError("replay: example shape does not match the board size");
+    ex.pi.resize(static_cast<std::size_t>(bs * bs + 1));
+    replay.get_raw(ex.pi.data(), ex.pi.size() * sizeof(float));
+    ex.z = static_cast<float>(replay.get_f64());
+  }
+  replay.expect_done();
+  replay_ = std::move(restored);
 }
 
 std::map<std::string, double> MiniGoWorkload::hyperparameters() const {

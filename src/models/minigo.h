@@ -154,6 +154,8 @@ class MiniGoWorkload : public Workload {
   std::string model_signature() const override { return "MiniGo"; }
   std::string optimizer_name() const override { return "sgd_momentum"; }
 
+  PolicyValueNet* model() const override { return net_.get(); }
+
   const std::vector<go::GameRecord>& reference_games() const { return references_; }
   PolicyValueNet* net() { return net_.get(); }
 
@@ -162,9 +164,12 @@ class MiniGoWorkload : public Workload {
   std::vector<go::GameRecord> references_;
   std::vector<SelfPlayExample> reference_examples_;
   std::unique_ptr<PolicyValueNet> net_;
-  std::unique_ptr<optim::SgdMomentum> optimizer_;
   std::deque<SelfPlayExample> replay_;
-  tensor::Rng rng_;
+
+  /// Section "replay": the self-play replay buffer. The reference examples
+  /// are rebuilt by prepare_data and are not saved.
+  void save_sections(checkpoint::CheckpointWriter& out) const override;
+  void restore_sections(const checkpoint::CheckpointReader& in) override;
 };
 
 /// The teacher evaluator: uniform priors + Tromp-Taylor heuristic value.

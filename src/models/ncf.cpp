@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "checkpoint/state.h"
 #include "metrics/metrics.h"
 #include "nn/functional.h"
 
@@ -45,7 +44,7 @@ Variable NeuMf::forward(const std::vector<std::int64_t>& users,
   return autograd::add(out_gmf_.forward(gmf), out_mlp_.forward(h));
 }
 
-NcfWorkload::NcfWorkload(Config config) : config_(std::move(config)), rng_(1) {
+NcfWorkload::NcfWorkload(Config config) : config_(std::move(config)) {
   config_.model.num_users = config_.dataset.num_users;
   config_.model.num_items = config_.dataset.num_items;
 }
@@ -55,8 +54,7 @@ void NcfWorkload::prepare_data() {
 }
 
 void NcfWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   model_ = std::make_unique<NeuMf>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::Adam>(model_->parameters());
 }
@@ -104,25 +102,6 @@ double NcfWorkload::evaluate() {
     scores.push_back(std::move(s));
   }
   return metrics::hit_rate_at_k(scores, 10);
-}
-
-void NcfWorkload::save_state(checkpoint::CheckpointWriter& out) const {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("NcfWorkload: cannot checkpoint before build_model");
-  checkpoint::write_module(out.section("model"), *model_);
-  checkpoint::write_optimizer(out.section("optimizer"), *optimizer_);
-  checkpoint::write_rng(out.section("rng"), rng_);
-}
-
-void NcfWorkload::restore_state(const checkpoint::CheckpointReader& in) {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("NcfWorkload: cannot restore before build_model");
-  checkpoint::ByteReader model_in = in.section("model");
-  checkpoint::read_module(model_in, *model_);
-  checkpoint::ByteReader opt_in = in.section("optimizer");
-  checkpoint::read_optimizer(opt_in, *optimizer_);
-  checkpoint::ByteReader rng_in = in.section("rng");
-  checkpoint::read_rng(rng_in, rng_);
 }
 
 std::map<std::string, double> NcfWorkload::hyperparameters() const {

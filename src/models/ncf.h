@@ -60,22 +60,14 @@ class NcfWorkload : public Workload {
   std::string model_signature() const override { return "NCF"; }
   std::string optimizer_name() const override { return "adam"; }
 
-  /// Full-state checkpointing: model, Adam slots + step, run rng. The NCF
-  /// traversal (shuffle + negative sampling) is a pure function of the rng,
-  /// so these three sections are the complete training state.
-  bool supports_checkpoint() const override { return true; }
-  void save_state(checkpoint::CheckpointWriter& out) const override;
-  void restore_state(const checkpoint::CheckpointReader& in) override;
-
-  /// Direct access for the resume-identity tests (final-weights hashing).
-  NeuMf* model() { return model_.get(); }
+  /// The NCF traversal (shuffle + negative sampling) is a pure function of
+  /// the run rng, so model, optimizer and rng are its whole training state.
+  NeuMf* model() const override { return model_.get(); }
 
  private:
   Config config_;
   std::unique_ptr<data::ImplicitCfDataset> dataset_;
   std::unique_ptr<NeuMf> model_;
-  std::unique_ptr<optim::Adam> optimizer_;
-  tensor::Rng rng_;
 };
 
 }  // namespace mlperf::models

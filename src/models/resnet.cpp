@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "checkpoint/state.h"
+#include "checkpoint/format.h"
 #include "metrics/metrics.h"
 
 namespace mlperf::models {
@@ -71,7 +71,7 @@ Variable ResNetMini::forward(const Variable& images) {
 
 ResNetWorkload::ResNetWorkload(Config config)
     : config_(std::move(config)), dataset_(config_.dataset),
-      augment_(data::AugmentationPipeline::reference_image_pipeline()), rng_(1) {}
+      augment_(data::AugmentationPipeline::reference_image_pipeline()) {}
 
 void ResNetWorkload::prepare_data() {
   splits_ = data::reformat(dataset_);
@@ -79,18 +79,11 @@ void ResNetWorkload::prepare_data() {
 }
 
 void ResNetWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   model_ = std::make_unique<ResNetMini>(config_.model, init_rng);
-  std::vector<autograd::Variable> params = model_->parameters();
-  if (config_.use_lars) {
-    optimizer_ = std::make_unique<optim::Lars>(params, config_.momentum, config_.weight_decay,
-                                               config_.lars_eta);
-  } else {
-    optimizer_ = std::make_unique<optim::SgdMomentum>(params, config_.momentum,
-                                                      config_.weight_decay,
-                                                      config_.momentum_semantics);
-  }
+  optimizer_ = std::make_unique<optim::SgdMomentum>(model_->parameters(), config_.momentum,
+                                                    config_.weight_decay,
+                                                    config_.momentum_semantics);
   const std::int64_t steps_per_epoch =
       (dataset_.train_size() + config_.batch_size - 1) / config_.batch_size;
   schedule_ = std::make_unique<optim::LinearScalingWarmupLr>(
@@ -142,12 +135,7 @@ double ResNetWorkload::evaluate() {
   return metrics::top1_accuracy(preds, targets);
 }
 
-void ResNetWorkload::save_state(checkpoint::CheckpointWriter& out) const {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("ResNetWorkload: cannot checkpoint before build_model");
-  checkpoint::write_module(out.section("model"), *model_);
-  checkpoint::write_optimizer(out.section("optimizer"), *optimizer_);
-  checkpoint::write_rng(out.section("rng"), rng_);
+void ResNetWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
   checkpoint::ByteWriter& progress = out.section("progress");
   progress.put_i64(step_);
   progress.put_i64(epochs_trained_);
@@ -172,15 +160,7 @@ void ResNetWorkload::save_state(checkpoint::CheckpointWriter& out) const {
   }
 }
 
-void ResNetWorkload::restore_state(const checkpoint::CheckpointReader& in) {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("ResNetWorkload: cannot restore before build_model");
-  checkpoint::ByteReader model_in = in.section("model");
-  checkpoint::read_module(model_in, *model_);
-  checkpoint::ByteReader opt_in = in.section("optimizer");
-  checkpoint::read_optimizer(opt_in, *optimizer_);
-  checkpoint::ByteReader rng_in = in.section("rng");
-  checkpoint::read_rng(rng_in, rng_);
+void ResNetWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
   checkpoint::ByteReader progress = in.section("progress");
   step_ = progress.get_i64();
   epochs_trained_ = progress.get_i64();

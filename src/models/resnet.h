@@ -74,8 +74,6 @@ class ResNetWorkload : public Workload {
     std::int64_t lr_decay_epochs = 4;  ///< decay every N epochs
     float momentum = 0.9f;
     float weight_decay = 5e-4f;
-    bool use_lars = false;             ///< the v0.6 rule change
-    float lars_eta = 0.02f;
     /// Figure-1 study: quantize weights through this format each step.
     numerics::Format weight_format = numerics::Format::kFP32;
     /// Eq.1 vs Eq.2 momentum semantics (§2.2.4 ablation).
@@ -99,22 +97,11 @@ class ResNetWorkload : public Workload {
   std::map<std::string, double> hyperparameters() const override;
   std::int64_t global_batch_size() const override { return config_.batch_size; }
   std::string model_signature() const override { return "ResNet-50 v1.5"; }
-  std::string optimizer_name() const override {
-    return config_.use_lars ? "lars" : "sgd_momentum";
-  }
+  std::string optimizer_name() const override { return "sgd_momentum"; }
   std::string augmentation_signature() const override { return augment_.signature(); }
 
-  /// Full-state checkpointing: model parameters AND batch-norm running
-  /// statistics, the optimizer's slot buffers (SGD-momentum velocity or LARS
-  /// velocity), the LR-schedule position (global step), the run rng, and the
-  /// train-loader traversal position. save_state drains the (possibly
-  /// prefetching) loader and requires an epoch boundary.
-  bool supports_checkpoint() const override { return true; }
-  void save_state(checkpoint::CheckpointWriter& out) const override;
-  void restore_state(const checkpoint::CheckpointReader& in) override;
-
   /// Direct access for tests and the precision/batch-size benches.
-  ResNetMini* model() { return model_.get(); }
+  ResNetMini* model() const override { return model_.get(); }
   std::int64_t step() const { return step_; }
 
  private:
@@ -124,9 +111,7 @@ class ResNetWorkload : public Workload {
   bool data_prepared_ = false;
   data::AugmentationPipeline augment_;
   std::unique_ptr<ResNetMini> model_;
-  std::unique_ptr<optim::Optimizer> optimizer_;
   std::unique_ptr<optim::LrSchedule> schedule_;
-  tensor::Rng rng_;
   std::int64_t step_ = 0;
   std::int64_t epochs_trained_ = 0;
   /// Epochs the loader had started before this session began (restore_state
@@ -138,9 +123,15 @@ class ResNetWorkload : public Workload {
   /// Persistent training loader, created lazily on the first train_epoch so
   /// the rng draw order (one permutation per epoch start, then the per-batch
   /// augmentation draws) is exactly the draw order of the historical
-  /// loader-per-epoch code. Declared after splits_/augment_/rng_, which it
-  /// references, so it is destroyed first.
+  /// loader-per-epoch code. Declared after splits_/augment_, which it
+  /// references, so it is destroyed first (the base's rng_ outlives it too).
   std::unique_ptr<data::ImageLoader> train_loader_;
+
+  /// Sections "progress" (global step, epochs trained) and "loader"
+  /// (cumulative epochs started, cursor, limit); drains the loader first
+  /// and requires an epoch boundary.
+  void save_sections(checkpoint::CheckpointWriter& out) const override;
+  void restore_sections(const checkpoint::CheckpointReader& in) override;
 };
 
 }  // namespace mlperf::models

@@ -174,7 +174,7 @@ SsdModel::Output SsdModel::forward(const Variable& images) {
           autograd::reshape(box, {n * (na1 + na2), 4})};
 }
 
-SsdWorkload::SsdWorkload(Config config) : config_(std::move(config)), rng_(1) {
+SsdWorkload::SsdWorkload(Config config) : config_(std::move(config)) {
   config_.model.in_channels = config_.dataset.channels;
   config_.model.image_size = config_.dataset.height;
   config_.model.num_classes = config_.dataset.num_classes;
@@ -185,8 +185,7 @@ void SsdWorkload::prepare_data() {
 }
 
 void SsdWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   model_ = std::make_unique<SsdModel>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::SgdMomentum>(model_->parameters(), config_.momentum);
 }

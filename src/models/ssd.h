@@ -106,6 +106,7 @@ class SsdWorkload : public Workload {
   std::int64_t global_batch_size() const override { return config_.batch_size; }
   std::string model_signature() const override { return "SSD-ResNet-34"; }
   std::string optimizer_name() const override { return "sgd_momentum"; }
+  SsdModel* model() const override { return model_.get(); }
   std::string augmentation_signature() const override { return "horizontal_flip"; }
 
   /// Run inference on one image; exposed for examples and tests.
@@ -115,9 +116,7 @@ class SsdWorkload : public Workload {
   Config config_;
   std::unique_ptr<data::SyntheticDetectionDataset> dataset_;
   std::unique_ptr<SsdModel> model_;
-  std::unique_ptr<optim::SgdMomentum> optimizer_;
   BoxCodec codec_;
-  tensor::Rng rng_;
 };
 
 }  // namespace mlperf::models

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "checkpoint/format.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -189,7 +190,7 @@ std::vector<TokenSeq> TransformerModel::greedy_translate(const std::vector<Token
   return generated;
 }
 
-TransformerWorkload::TransformerWorkload(Config config) : config_(std::move(config)), rng_(1) {
+TransformerWorkload::TransformerWorkload(Config config) : config_(std::move(config)) {
   config_.model.vocab = config_.dataset.vocab + data::kFirstWord;
   config_.model.max_len = config_.dataset.max_len + 2;  // BOS/EOS headroom
 }
@@ -200,8 +201,7 @@ void TransformerWorkload::prepare_data() {
 }
 
 void TransformerWorkload::build_model(std::uint64_t seed) {
-  rng_ = tensor::Rng(seed);
-  tensor::Rng init_rng = rng_.split();
+  tensor::Rng init_rng = reseed(seed);
   model_ = std::make_unique<TransformerModel>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::Adam>(model_->parameters());
 }
@@ -226,6 +226,15 @@ double TransformerWorkload::evaluate() {
                         [&](const std::vector<TokenSeq>& src, std::int64_t max_len) {
                           return model_->greedy_translate(src, max_len);
                         });
+}
+
+void TransformerWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
+  data::write_length_buckets(out.section("buckets"), length_buckets_);
+}
+
+void TransformerWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
+  checkpoint::ByteReader buckets = in.section("buckets");
+  data::read_length_buckets(buckets, length_buckets_);
 }
 
 std::map<std::string, double> TransformerWorkload::hyperparameters() const {

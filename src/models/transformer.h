@@ -123,14 +123,17 @@ class TransformerWorkload : public Workload {
   std::int64_t global_batch_size() const override { return config_.batch_size; }
   std::string model_signature() const override { return "Transformer"; }
   std::string optimizer_name() const override { return "adam"; }
+  TransformerModel* model() const override { return model_.get(); }
 
  private:
   Config config_;
   std::unique_ptr<data::SyntheticTranslationDataset> dataset_;
   std::unique_ptr<TransformerModel> model_;
-  std::unique_ptr<optim::Adam> optimizer_;
-  tensor::Rng rng_;
   data::LengthBuckets length_buckets_;  ///< training split, by source length
+
+  /// Section "buckets": the training buckets' shuffled order.
+  void save_sections(checkpoint::CheckpointWriter& out) const override;
+  void restore_sections(const checkpoint::CheckpointReader& in) override;
 };
 
 }  // namespace mlperf::models

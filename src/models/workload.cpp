@@ -1,5 +1,39 @@
 #include "models/workload.h"
 
+#include <stdexcept>
+
+#include "checkpoint/state.h"
+
+namespace mlperf::models {
+
+void Workload::save_state(checkpoint::CheckpointWriter& out) const {
+  nn::Module* const module = model();
+  if (!module || !optimizer_)
+    throw std::logic_error(name() + ": cannot checkpoint before build_model");
+  checkpoint::write_module(out.section("model"), *module);
+  checkpoint::write_optimizer(out.section("optimizer"), *optimizer_);
+  checkpoint::write_rng(out.section("rng"), rng_);
+  save_sections(out);
+}
+
+void Workload::restore_state(const checkpoint::CheckpointReader& in) {
+  nn::Module* const module = model();
+  if (!module || !optimizer_)
+    throw std::logic_error(name() + ": cannot restore before build_model");
+  checkpoint::ByteReader model_in = in.section("model");
+  checkpoint::read_module(model_in, *module);
+  model_in.expect_done();
+  checkpoint::ByteReader opt_in = in.section("optimizer");
+  checkpoint::read_optimizer(opt_in, *optimizer_);
+  opt_in.expect_done();
+  checkpoint::ByteReader rng_in = in.section("rng");
+  checkpoint::read_rng(rng_in, rng_);
+  rng_in.expect_done();
+  restore_sections(in);
+}
+
+}  // namespace mlperf::models
+
 namespace mlperf::models::detail {
 
 std::vector<tensor::Tensor> quantize_masters(const optim::Optimizer& optimizer,

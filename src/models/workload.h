@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <stdexcept>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,8 +11,10 @@
 #include "autograd/variable.h"
 #include "data/translation.h"
 #include "metrics/metrics.h"
+#include "nn/module.h"
 #include "numerics/format.h"
 #include "optim/optimizer.h"
+#include "tensor/rng.h"
 
 namespace mlperf::checkpoint {
 class CheckpointWriter;
@@ -44,23 +46,23 @@ class Workload {
   virtual void train_epoch() = 0;
   virtual double evaluate() = 0;
 
-  /// ---- checkpoint/restore (opt-in) --------------------------------------
-  /// A checkpointable workload serializes its COMPLETE training state —
-  /// model parameters and buffers, optimizer slot buffers and step counters,
-  /// every RNG stream, and data-traversal position — such that a restored
-  /// run continues bitwise-identically to one that was never interrupted.
-  /// save_state may only be called at an epoch boundary (after train_epoch /
-  /// evaluate returned, before the next train_epoch); implementations must
-  /// drain any asynchronous work (e.g. a prefetching loader) before
-  /// snapshotting. The harness stores its own sections ("meta", "curve",
-  /// "timer", "log") alongside the workload's.
-  virtual bool supports_checkpoint() const { return false; }
-  virtual void save_state(checkpoint::CheckpointWriter& /*out*/) const {
-    throw std::logic_error(name() + ": workload does not support checkpointing");
-  }
-  virtual void restore_state(const checkpoint::CheckpointReader& /*in*/) {
-    throw std::logic_error(name() + ": workload does not support checkpointing");
-  }
+  /// The model whose parameters and buffers the "model" checkpoint section
+  /// holds; nullptr before build_model. Workloads override it with their
+  /// own model type.
+  virtual nn::Module* model() const = 0;
+
+  /// ---- checkpoint/restore ------------------------------------------------
+  /// save_state writes the COMPLETE training state — sections "model"
+  /// (parameters and buffers), "optimizer" (slot buffers and step counters),
+  /// "rng" (the run rng), then whatever save_sections adds — such that a
+  /// restored run continues bitwise-identically to one that was never
+  /// interrupted. It may only be called at an epoch boundary (after
+  /// train_epoch / evaluate returned, before the next train_epoch). The
+  /// harness stores its own sections ("meta", "curve", "timer", "log")
+  /// alongside. Both throw std::logic_error before build_model; restore_state
+  /// throws checkpoint::CheckpointError on any section that does not fit.
+  void save_state(checkpoint::CheckpointWriter& out) const;
+  void restore_state(const checkpoint::CheckpointReader& in);
 
   /// Hyperparameters to log (names should match the Closed-division
   /// whitelist vocabulary where applicable).
@@ -70,6 +72,24 @@ class Workload {
   virtual std::string model_signature() const = 0;
   virtual std::string optimizer_name() const = 0;
   virtual std::string augmentation_signature() const { return ""; }
+
+ protected:
+  /// Sections for state the base does not hold, written after "rng" and
+  /// read strictly (default: none). save_sections must drain any
+  /// asynchronous work (e.g. a prefetching loader) before snapshotting.
+  virtual void save_sections(checkpoint::CheckpointWriter& /*out*/) const {}
+  virtual void restore_sections(const checkpoint::CheckpointReader& /*in*/) {}
+
+  /// Seeds the run rng and returns the stream that initializes the model.
+  tensor::Rng reseed(std::uint64_t seed) {
+    rng_ = tensor::Rng(seed);
+    return rng_.split();
+  }
+
+  /// The run rng: every draw of data order, augmentation and self-play.
+  tensor::Rng rng_{1};
+  /// Created by build_model over model()->parameters().
+  std::unique_ptr<optim::Optimizer> optimizer_;
 };
 
 /// How one optimizer step updates the weights. Every field comes from a

@@ -4,19 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "parallel/parallel_for.h"
-
-namespace {
-
-// Mirror of the ordered-reduction chunk size in src/tensor/tensor.cpp
-// (kReduceGrain). Lars::step() computes both layer norms in one fused
-// parallel_reduce and must chunk exactly like Tensor::l2_norm_sq() to stay
-// bitwise identical to step_unfused(); a refcheck test with numel > 1<<16
-// pins the coupling, so a drift in either constant fails loudly.
-constexpr std::int64_t kReduceGrain = std::int64_t{1} << 16;
-
-}  // namespace
-
 namespace mlperf::optim {
 
 using autograd::Variable;
@@ -189,91 +176,6 @@ OptimizerStateDict Adam::state_dict() {
   for (std::size_t i = 0; i < v_.size(); ++i)
     d.tensors.emplace_back("v." + std::to_string(i), &v_[i]);
   d.scalars.emplace_back("step", &t_);
-  return d;
-}
-
-Lars::Lars(std::vector<Variable> params, float momentum, float weight_decay, float eta)
-    : Optimizer(std::move(params)), momentum_(momentum), weight_decay_(weight_decay), eta_(eta) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) velocity_.emplace_back(p.shape());
-}
-
-void Lars::step(float lr) {
-  // Fused LARS: both layer norms come from ONE ordered reduction over the
-  // parameter (each chunk sums ||w||^2 and ||g||^2 partials side by side),
-  // then a single raw-pointer sweep applies decay + trust + momentum + step.
-  // Each pair component accumulates in exactly the chunk boundaries and
-  // ascending combine order of Tensor::l2_norm_sq() (kReduceGrain mirrored
-  // above), so the norms — and therefore the update — are bitwise identical
-  // to step_unfused().
-  const float mu = momentum_;
-  const float wd = weight_decay_;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    float* w = p.mutable_value().data();
-    const float* g = p.grad().data();
-    float* v = velocity_[i].data();
-    const std::int64_t n = velocity_[i].numel();
-    const std::pair<double, double> norms_sq = parallel::parallel_reduce(
-        kReduceGrain, n, std::pair<double, double>{0.0, 0.0},
-        [&](std::int64_t begin, std::int64_t end) {
-          double aw = 0.0;
-          for (std::int64_t j = begin; j < end; ++j) {
-            const double x = w[j];
-            aw += x * x;
-          }
-          double ag = 0.0;
-          for (std::int64_t j = begin; j < end; ++j) {
-            const double x = g[j];
-            ag += x * x;
-          }
-          return std::pair<double, double>{aw, ag};
-        },
-        [](const std::pair<double, double>& a, const std::pair<double, double>& b) {
-          return std::pair<double, double>{a.first + b.first, a.second + b.second};
-        });
-    const float w_norm = std::sqrt(static_cast<float>(norms_sq.first));
-    const float g_norm = std::sqrt(static_cast<float>(norms_sq.second));
-    float trust = 1.0f;
-    if (w_norm > 0.0f && g_norm > 0.0f)
-      trust = eta_ * w_norm / (g_norm + wd * w_norm);
-    // step_unfused evaluates momentum_*v + trust*lr*grad left-to-right, so
-    // hoisting (trust * lr) preserves the bits.
-    const float tl = trust * lr;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float grad = g[j] + wd * w[j];
-      const float vj = mu * v[j] + tl * grad;
-      v[j] = vj;
-      w[j] -= vj;
-    }
-  }
-}
-
-void Lars::step_unfused(float lr) {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    Tensor& w = p.mutable_value();
-    const Tensor& g = p.grad();
-    const float w_norm = std::sqrt(w.l2_norm_sq());
-    const float g_norm = std::sqrt(g.l2_norm_sq());
-    float trust = 1.0f;
-    if (w_norm > 0.0f && g_norm > 0.0f)
-      trust = eta_ * w_norm / (g_norm + weight_decay_ * w_norm);
-    const std::int64_t n = w.numel();
-    Tensor& v = velocity_[i];
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float grad = g[j] + weight_decay_ * w[j];
-      v[j] = momentum_ * v[j] + trust * lr * grad;
-      w[j] -= v[j];
-    }
-  }
-}
-
-OptimizerStateDict Lars::state_dict() {
-  OptimizerStateDict d;
-  d.kind = "lars";
-  for (std::size_t i = 0; i < velocity_.size(); ++i)
-    d.tensors.emplace_back("velocity." + std::to_string(i), &velocity_[i]);
   return d;
 }
 

@@ -54,7 +54,7 @@ class LinearScalingWarmupLr final : public LrSchedule {
 /// "step") and pinned by unit tests, so a checkpoint fails loudly — by name
 /// or shape mismatch — when the architecture or optimizer choice drifts.
 struct OptimizerStateDict {
-  std::string kind;  ///< "sgd_momentum", "adam", "lars"
+  std::string kind;  ///< "sgd_momentum" or "adam"
   std::vector<std::pair<std::string, tensor::Tensor*>> tensors;
   std::vector<std::pair<std::string, std::int64_t*>> scalars;
 };
@@ -125,25 +125,6 @@ class Adam final : public Optimizer {
   float beta1_, beta2_, eps_, weight_decay_;
   std::int64_t t_ = 0;
   std::vector<tensor::Tensor> m_, v_;
-};
-
-/// LARS (You et al. 2017): layer-wise adaptive rate scaling, the optimizer
-/// MLPerf v0.6 allowed for large-batch ResNet (paper §5/§6). Per layer:
-///   trust = eta * ||w|| / (||g|| + wd * ||w||)
-///   m = mu * m + trust * lr * (g + wd * w);  w -= m
-class Lars final : public Optimizer {
- public:
-  Lars(std::vector<autograd::Variable> params, float momentum = 0.9f,
-       float weight_decay = 1e-4f, float eta = 0.001f);
-
-  void step(float lr) override;
-  /// Reference per-element update; step() must match it bitwise (refchecked).
-  void step_unfused(float lr);
-  OptimizerStateDict state_dict() override;
-
- private:
-  float momentum_, weight_decay_, eta_;
-  std::vector<tensor::Tensor> velocity_;
 };
 
 /// Global-norm gradient clipping (used by GNMT reference); returns the norm.

@@ -40,6 +40,7 @@ class ScriptedWorkload : public models::Workload {
   std::int64_t global_batch_size() const override { return 8; }
   std::string model_signature() const override { return "scripted-model"; }
   std::string optimizer_name() const override { return "sgd_momentum"; }
+  nn::Module* model() const override { return nullptr; }  // no weights to save
 
   std::uint64_t seed_ = 0;
 

@@ -35,15 +35,17 @@ int inspect(const std::string& path) {
                   : ("UNSUPPORTED (this build reads version " +
                      std::to_string(checkpoint::kFormatVersion) + ")")
                         .c_str());
+  if (report.magic_ok && report.version_ok)
+    std::printf("  header  crc32c %s\n", report.header_crc_ok ? "ok" : "CORRUPT");
   std::printf("  %zu section(s):\n", report.sections.size());
-  bool all_ok = report.magic_ok && report.version_ok;
-  for (const auto& s : report.sections) {
+  for (const auto& s : report.sections)
     std::printf("    %-12s %10llu bytes  crc32c stored=%08X computed=%08X  %s\n",
                 s.name.c_str(), static_cast<unsigned long long>(s.size), s.stored_crc,
                 s.computed_crc, s.crc_ok() ? "ok" : "CORRUPT");
-    all_ok = all_ok && s.crc_ok();
-  }
-  return all_ok ? 0 : 2;
+  if (report.trailing_bytes != 0)
+    std::printf("  %llu trailing byte(s) after the last section  CORRUPT\n",
+                static_cast<unsigned long long>(report.trailing_bytes));
+  return report.ok() ? 0 : 2;
 }
 
 int restore_and_eval(const std::string& path, harness::WorkloadScale scale) {
