@@ -66,8 +66,11 @@ BENCHMARK(BM_GemmRef)->Arg(64)->Arg(256);
 // Rectangular GEMMs at the suite's workload shapes. Args are {m, k, n}.
 // resnet: the im2col GEMM of a 3x3 conv on a 16x16 plane at 32 channels
 // (weight [32, 288] x columns [288, 256]) — the per-sample product inside
-// BM_Conv2dForward/32. transformer_ffn: tokens x model_dim x ff_dim for the
-// suite's TransformerBlock at batch 4, seq 32.
+// BM_Conv2dForward/32. transformer: the reference Transformer's batch 16 at
+// sequence length 10 is 160 tokens of model_dim 32; its FFN up-projection is
+// [160, 32] x [32, 64] and each attention projection [160, 32] x [32, 32].
+// minigo: the batch-1 tower conv of PolicyValueNet::infer, weight
+// [16, 144] x columns [144, 81] on the 9x9 board.
 static void gemm_shape_body(benchmark::State& state, bool use_ref) {
   const std::int64_t m = state.range(0), k = state.range(1), n = state.range(2);
   Rng rng(11);
@@ -89,18 +92,22 @@ static void BM_GemmShape(benchmark::State& state) { gemm_shape_body(state, false
 static void BM_GemmShapeRef(benchmark::State& state) { gemm_shape_body(state, true); }
 BENCHMARK(BM_GemmShape)
     ->ArgNames({"m", "k", "n"})
-    ->Args({32, 288, 256})    // resnet conv-as-GEMM
-    ->Args({128, 32, 128});   // transformer FFN
+    ->Args({32, 288, 256})  // resnet conv-as-GEMM
+    ->Args({160, 32, 64})   // transformer FFN up-projection
+    ->Args({160, 32, 32})   // transformer attention projection
+    ->Args({16, 144, 81});  // minigo batch-1 conv-as-GEMM
 BENCHMARK(BM_GemmShapeRef)
     ->ArgNames({"m", "k", "n"})
     ->Args({32, 288, 256})
-    ->Args({128, 32, 128});
+    ->Args({160, 32, 64})
+    ->Args({160, 32, 32})
+    ->Args({16, 144, 81});
 
-// Batched matmul at the attention shape of the suite's Transformer (batch 4,
-// 4 heads, seq 32, head dim 8): scores = Q K^T through the transposed-B
-// variant, exactly as MultiHeadAttention now issues it.
+// Batched matmul at the attention shape of the reference Transformer (batch
+// 16 x 2 heads, sequence length 10, head dim 16): scores = Q K^T through the
+// transposed-B variant, exactly as MultiHeadAttention issues it.
 static void BM_BmmAttention(benchmark::State& state) {
-  const std::int64_t bh = 16, t = 32, dh = 8;
+  const std::int64_t bh = 32, t = 10, dh = 16;
   Rng rng(12);
   Tensor q = Tensor::randn({bh, t, dh}, rng);
   Tensor k = Tensor::randn({bh, t, dh}, rng);

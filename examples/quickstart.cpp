@@ -11,7 +11,8 @@
 //
 //   --checkpoint_every_n_epochs=N  write a full-state checkpoint every N epochs
 //                                  (1 to 120)
-//   --checkpoint_path=FILE         where to write it (default quickstart.ckpt)
+//   --checkpoint_path=FILE         where to write it (default quickstart.ckpt;
+//                                  only with --checkpoint_every_n_epochs)
 //   --resume_from=FILE             resume a preempted run from this checkpoint
 //   --kill_after_epoch=K           fault injection: SIGKILL after epoch K
 //                                  (1 to 120; for crash-resume testing;
@@ -25,8 +26,9 @@
 //
 // Exits 0 when the run reaches its target, 1 when it misses or on a usage
 // error (an unknown flag or benchmark, an integer that is not whole or out of
-// range), and 2 with "error: <what>" when the run throws (for example on a
-// corrupt --resume_from checkpoint).
+// range, --checkpoint_path without --checkpoint_every_n_epochs), and 2 with
+// "error: <what>" when the run throws (for example on a corrupt --resume_from
+// checkpoint).
 #include <charconv>
 #include <cstdio>
 #include <exception>
@@ -62,6 +64,7 @@ std::optional<long> parse_int(const std::string& text, const char* what, long lo
 int run_quickstart(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string checkpoint_path = "quickstart.ckpt";
+  bool checkpoint_path_set = false;
   std::string resume_from;
   long checkpoint_every = 0;
   long kill_after_epoch = -1;
@@ -80,6 +83,7 @@ int run_quickstart(int argc, char** argv) {
       checkpoint_every = *n;
     } else if (auto v = flag_value("checkpoint_path")) {
       checkpoint_path = *v;
+      checkpoint_path_set = true;
     } else if (auto v = flag_value("resume_from")) {
       resume_from = *v;
     } else if (auto v = flag_value("kill_after_epoch")) {
@@ -96,6 +100,12 @@ int run_quickstart(int argc, char** argv) {
     } else {
       positional.push_back(arg);
     }
+  }
+
+  // A path with nothing to write there would train, exit 0 and leave no file.
+  if (checkpoint_path_set && checkpoint_every == 0) {
+    std::fprintf(stderr, "--checkpoint_path needs --checkpoint_every_n_epochs\n");
+    return 1;
   }
 
   const core::SuiteVersion suite = core::suite_v05();

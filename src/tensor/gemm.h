@@ -10,11 +10,12 @@ namespace mlperf::tensor {
 enum class Trans : std::uint8_t { N, T };
 
 // Blocking parameters of the packed kernel (see EXPERIMENTS.md, "GEMM
-// micro-kernel"). MR x NR is the register tile: NR = 8 matches one AVX
-// vector (two SSE vectors) so the inner loop auto-vectorizes under plain
-// -O2/-O3 without intrinsics. MC bounds the packed A panel so it stays
-// cache-resident while a B panel streams past it. K is not blocked: each
-// C element folds its k-products in one ascending pass, which is what
+// micro-kernel"). Packed A strips are MR rows and packed B panels NR
+// columns. The float register tile is MR x NR on baseline ISAs and two
+// strips tall (2*MR x NR) on AVX2 hosts, chosen once per process from CPUID;
+// the layouts are the same either way. MC bounds the packed A panel so it
+// stays cache-resident while a B panel streams past it. K is not blocked:
+// each C element folds its k-products in one ascending pass, which is what
 // makes the kernel bitwise reproducible (see gemm_accumulate_ref).
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sys/stat.h>
+#include <type_traits>
 
 #include "checkpoint/state.h"
 #include "core/fileio.h"
@@ -414,10 +415,16 @@ TEST(TimerCarry, RejectsNegativeAndPostStop) {
 // End-to-end preempt -> restart -> converge (the tentpole acceptance)
 // ---------------------------------------------------------------------------
 
+// Padding-free: gtest lists a case by dumping its bytes into the test name,
+// so every byte must be a member or the listed names vary between builds.
 struct ResumeCase {
+  ResumeCase(BenchmarkId case_id, std::int64_t case_threads)
+      : id(case_id), threads(case_threads) {}
   BenchmarkId id;
+  std::int32_t zero = 0;  // fills the gap between the 4-byte id and threads
   std::int64_t threads;
 };
+static_assert(std::has_unique_object_representations_v<ResumeCase>);
 
 std::uint64_t final_weights_hash(const models::Workload& w) { return hash_module(*w.model()); }
 

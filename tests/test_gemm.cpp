@@ -67,13 +67,23 @@ class GemmTest : public ::testing::Test {
 
 // Edge and non-tile-multiple shapes exercised throughout: degenerate rows
 // and columns, empty inner dimension, and dims straddling the MR=4 / NR=8 /
-// MC=64 blocking boundaries.
+// MC=64 blocking boundaries. The float kernel runs 4-row tiles on the
+// portable instantiation and 8-row tiles (pairs of packed strips) on the
+// AVX2 one, so the list reaches every path of both: full 8-row pairs, a lone
+// 4-row strip padded to a pair (m = 4, 12, 68), ragged rows (m mod 4 != 0),
+// ragged columns (n mod 8 != 0), MC blocks of 64 / 65 / 128 / 129 rows,
+// k = 1 and k >= 288, and the GEMMs the workloads run: the Transformer's
+// projections over 160 tokens and its per-head attention bmm (T = 10, head
+// dim 16), MiniGo's batch-1 conv forward [16x144]x[144x81] and its dW.
 struct Mkn {
   std::int64_t m, k, n;
 };
 const Mkn kShapes[] = {
-    {1, 1, 1},   {1, 7, 13},  {5, 9, 1},   {1, 0, 6},  {3, 0, 3},   {4, 8, 8},
-    {17, 5, 23}, {33, 17, 9}, {65, 31, 40}, {64, 64, 8}, {66, 3, 17}, {128, 2, 5},
+    {1, 1, 1},     {1, 7, 13},    {5, 9, 1},     {1, 0, 6},    {3, 0, 3},      {4, 8, 8},
+    {17, 5, 23},   {33, 17, 9},   {65, 31, 40},  {64, 64, 8},  {66, 3, 17},    {128, 2, 5},
+    {8, 16, 8},    {16, 1, 16},   {12, 6, 16},   {7, 11, 8},   {13, 5, 24},    {68, 9, 16},
+    {129, 3, 9},   {24, 288, 8},  {9, 300, 13},  {160, 32, 64}, {160, 32, 32}, {10, 16, 10},
+    {10, 10, 16},  {16, 144, 81}, {16, 81, 144},
 };
 
 }  // namespace
@@ -124,6 +134,50 @@ TEST_F(GemmTest, MatmulBitwiseIdenticalAcrossThreadCounts) {
       parallel::set_num_threads(threads);
       expect_bitwise_equal(base, a.matmul(b), "threaded NN");
       expect_bitwise_equal(base_nt, a.matmul(bt, Trans::N, Trans::T), "threaded NT");
+    }
+  }
+}
+
+// Every Trans variant against the scalar reference at 1/2/4/8 threads:
+// Tensor::matmul partitions rows across the pool, and gemm_accumulate runs
+// on a nonzero C, so tiles start from existing values.
+TEST_F(GemmTest, AllTransVariantsMatchRefAcrossThreads) {
+  for (const auto& s : kShapes) {
+    Rng rng(113);
+    Tensor a = Tensor::randn({s.m, s.k}, rng);
+    Tensor b = Tensor::randn({s.k, s.n}, rng);
+    Tensor at = a.permute({1, 0});
+    Tensor bt = b.permute({1, 0});
+    Tensor want({s.m, s.n});
+    tensor::gemm_accumulate_ref(a.data(), b.data(), want.data(), s.m, s.k, s.n);
+    Tensor want_acc({s.m, s.n});
+    for (std::int64_t i = 0; i < want_acc.numel(); ++i)
+      want_acc[i] = 0.125f * float(i % 5) - 0.25f;
+    Tensor init = want_acc;
+    tensor::gemm_accumulate_ref(a.data(), b.data(), want_acc.data(), s.m, s.k, s.n);
+    const std::int64_t lda = s.k, ldat = std::max<std::int64_t>(s.m, 1);
+    const std::int64_t ldb = s.n, ldbt = std::max<std::int64_t>(s.k, 1);
+    struct Case {
+      Trans ta, tb;
+      const Tensor *pa, *pb;
+      std::int64_t lda, ldb;
+      const char* name;
+    } cases[] = {
+        {Trans::N, Trans::N, &a, &b, lda, ldb, "NN"},
+        {Trans::T, Trans::N, &at, &b, ldat, ldb, "TN"},
+        {Trans::N, Trans::T, &a, &bt, lda, ldbt, "NT"},
+        {Trans::T, Trans::T, &at, &bt, ldat, ldbt, "TT"},
+    };
+    for (const Case& c : cases) {
+      Tensor got = init;
+      tensor::gemm_accumulate(c.ta, c.tb, s.m, s.n, s.k, c.pa->data(), c.lda, c.pb->data(),
+                              c.ldb, got.data(), s.n);
+      expect_bitwise_equal(want_acc, got, c.name);
+    }
+    for (int threads : {1, 2, 4, 8}) {
+      parallel::set_num_threads(threads);
+      for (const Case& c : cases)
+        expect_bitwise_equal(want, c.pa->matmul(*c.pb, c.ta, c.tb), c.name);
     }
   }
 }
