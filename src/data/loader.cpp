@@ -21,7 +21,6 @@ ImageLoader::ImageLoader(const ReformattedImageSet& set, std::int64_t batch_size
 
 void ImageLoader::start_epoch() {
   inflight_ = {};  // a running batch still reads order_: this waits for it
-  ++epochs_started_;
   order_ = rng_->permutation(static_cast<std::size_t>(set_->size()));
   cursor_ = 0;
   limit_ = set_->size();
@@ -32,13 +31,6 @@ void ImageLoader::start_epoch() {
 bool ImageLoader::has_next() const {
   if (prefetch_) return inflight_.valid();
   return cursor_ < limit_;
-}
-
-bool ImageLoader::epoch_exhausted() const { return cursor_ >= limit_ && !has_next(); }
-
-std::int64_t ImageLoader::batches_per_epoch() const {
-  if (drop_last_) return set_->size() / batch_size_;
-  return (set_->size() + batch_size_ - 1) / batch_size_;
 }
 
 ImageBatch ImageLoader::assemble(std::int64_t begin, std::int64_t end, tensor::Rng& rng) const {

@@ -39,6 +39,8 @@ class ImageLoader {
   ImageLoader& operator=(const ImageLoader&) = delete;
 
   /// Start a new epoch (reshuffles; discards any in-flight prefetched batch).
+  /// The constructor starts the first one, so a fresh loader over the same
+  /// Rng draws what start_epoch() on a used loader would.
   void start_epoch();
 
   /// True if another batch is available this epoch.
@@ -46,30 +48,6 @@ class ImageLoader {
 
   /// Next minibatch; the last one may be smaller unless drop_last.
   ImageBatch next();
-
-  std::int64_t batches_per_epoch() const;
-
-  /// ---- checkpoint support -----------------------------------------------
-  /// Block until any in-flight prefetched batch has been fully assembled
-  /// (the batch stays pending for the next next()). A checkpoint must drain
-  /// the loader before snapshotting so no producer is still running.
-  void drain() const {
-    if (inflight_.valid()) inflight_.wait();
-  }
-  /// True when every batch of the current epoch has been consumed — the only
-  /// position at which the traversal state is checkpointable: between
-  /// epochs the entire traversal is a pure function of the run Rng, so a
-  /// restored Rng replays the next epoch's shuffle and augmentation draws
-  /// exactly. (Mid-epoch, a prefetching loader has already consumed the rng
-  /// split for the batch in flight, so a mid-epoch snapshot could not resume
-  /// bitwise-identically.)
-  bool epoch_exhausted() const;
-  /// Number of start_epoch() calls so far (construction counts as the
-  /// first). Checkpoints record it so a restored run can audit that it
-  /// resumes at the same traversal position.
-  std::int64_t epochs_started() const { return epochs_started_; }
-  std::int64_t cursor() const { return cursor_; }
-  std::int64_t epoch_limit() const { return limit_; }
 
  private:
   /// Kick off assembly of the next batch (prefetch mode). Advances cursor_.
@@ -89,7 +67,6 @@ class ImageLoader {
   std::vector<std::size_t> order_;
   std::int64_t cursor_ = 0;
   std::int64_t limit_ = 0;
-  std::int64_t epochs_started_ = 0;
   // Valid = one batch pending or ready. Declared last: destroying or
   // replacing a std::async future waits for its producer, which reads the
   // members above.

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "checkpoint/format.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -169,13 +168,9 @@ std::vector<TokenSeq> GnmtModel::greedy_translate(const std::vector<TokenSeq>& s
   return out;
 }
 
-GnmtWorkload::GnmtWorkload(Config config) : config_(std::move(config)) {
+GnmtWorkload::GnmtWorkload(Config config)
+    : TranslationWorkload(config.dataset, config.batch_size), config_(std::move(config)) {
   config_.model.vocab = config_.dataset.vocab + data::kFirstWord;
-}
-
-void GnmtWorkload::prepare_data() {
-  dataset_ = std::make_unique<data::SyntheticTranslationDataset>(config_.dataset);
-  length_buckets_ = data::length_buckets(*dataset_, data::Split::kTrain);
 }
 
 void GnmtWorkload::build_model(std::uint64_t seed) {
@@ -184,31 +179,8 @@ void GnmtWorkload::build_model(std::uint64_t seed) {
   optimizer_ = std::make_unique<optim::Adam>(model_->parameters());
 }
 
-void GnmtWorkload::train_epoch() {
-  if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
-  for (const data::TranslationBatch& batch :
-       data::shuffled_bucket_batches(*dataset_, length_buckets_, config_.batch_size, rng_)) {
-    train_step(*optimizer_, {.lr = config_.lr, .clip_norm = config_.grad_clip_norm}, [&] {
-      return nn::cross_entropy(model_->forward_teacher(batch.src, batch.tgt_in), batch.targets);
-    });
-  }
-}
-
-double GnmtWorkload::evaluate() {
-  if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
-  return bleu_by_length(*dataset_, config_.batch_size, config_.dataset.max_len + 2,
-                        [&](const std::vector<TokenSeq>& src, std::int64_t max_len) {
-                          return model_->greedy_translate(src, max_len);
-                        });
-}
-
-void GnmtWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
-  data::write_length_buckets(out.section("buckets"), length_buckets_);
-}
-
-void GnmtWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
-  checkpoint::ByteReader buckets = in.section("buckets");
-  data::read_length_buckets(buckets, length_buckets_);
+Variable GnmtWorkload::batch_loss(const data::TranslationBatch& batch) {
+  return nn::cross_entropy(model_->forward_teacher(batch.src, batch.tgt_in), batch.targets);
 }
 
 std::map<std::string, double> GnmtWorkload::hyperparameters() const {

@@ -50,7 +50,7 @@ class GnmtModel : public nn::Module {
 };
 
 /// The recurrent translation reference workload (Table 1 row 4).
-class GnmtWorkload : public Workload {
+class GnmtWorkload : public TranslationWorkload {
  public:
   struct Config {
     data::SyntheticTranslationDataset::Config dataset;
@@ -63,25 +63,23 @@ class GnmtWorkload : public Workload {
   explicit GnmtWorkload(Config config);
 
   std::string name() const override { return "translation_recurrent"; }
-  void prepare_data() override;
   void build_model(std::uint64_t seed) override;
-  void train_epoch() override;
-  double evaluate() override;
   std::map<std::string, double> hyperparameters() const override;
-  std::int64_t global_batch_size() const override { return config_.batch_size; }
   std::string model_signature() const override { return "GNMT"; }
-  std::string optimizer_name() const override { return "adam"; }
   GnmtModel* model() const override { return model_.get(); }
 
  private:
-  Config config_;
-  std::unique_ptr<data::SyntheticTranslationDataset> dataset_;
-  std::unique_ptr<GnmtModel> model_;
-  data::LengthBuckets length_buckets_;  ///< training split, by source length
+  StepRule step_rule() const override {
+    return {.lr = config_.lr, .clip_norm = config_.grad_clip_norm};
+  }
+  autograd::Variable batch_loss(const data::TranslationBatch& batch) override;
+  std::vector<data::TokenSeq> greedy_translate(const std::vector<data::TokenSeq>& src,
+                                               std::int64_t max_len) override {
+    return model_->greedy_translate(src, max_len);
+  }
 
-  /// Section "buckets": the training buckets' shuffled order.
-  void save_sections(checkpoint::CheckpointWriter& out) const override;
-  void restore_sections(const checkpoint::CheckpointReader& in) override;
+  Config config_;
+  std::unique_ptr<GnmtModel> model_;
 };
 
 }  // namespace mlperf::models

@@ -381,19 +381,16 @@ void MaskRcnnWorkload::train_epoch() {
 
 std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
                                                          std::int64_t image_id) {
-  model_->set_training(false);
+  const nn::EvalModeGuard eval_mode(*model_);
   Variable feats = model_->backbone(
       Variable(image.reshape({1, image.shape()[0], image.shape()[1], image.shape()[2]})));
   MaskRcnnModel::RpnOutput rpn_out = model_->rpn(feats);
   std::vector<Box> proposals = model_->decode_proposals(rpn_out);
-  model_->set_training(true);
   if (proposals.empty()) return {};
 
-  model_->set_training(false);
   Variable roi_feats = roi_align(feats, proposals, config_.model.roi_pool);
   MaskRcnnModel::RoiOutput roi_out = model_->box_head(roi_feats);
   Variable mask_logits = model_->mask_head(roi_feats);  // [R, C, M, M]
-  model_->set_training(true);
 
   const Tensor probs = roi_out.class_logits.value().softmax_last();
   const std::int64_t ncls = probs.shape()[1];
@@ -434,23 +431,16 @@ std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
 }
 
 MaskRcnnWorkload::EvalDetail MaskRcnnWorkload::evaluate_detail() {
-  metrics::GroundTruth gt;
-  std::vector<metrics::Detection> detections;
-  gt.per_image.resize(static_cast<std::size_t>(dataset_->val_size()));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i) {
-    const auto& ex = dataset_->val(i);
-    gt.per_image[static_cast<std::size_t>(i)] = ex.objects;
-    auto dets = detect(ex.image, i);
-    detections.insert(detections.end(), dets.begin(), dets.end());
-  }
+  if (!dataset_ || !model_) throw std::logic_error("MaskRcnnWorkload: not prepared");
+  const ValDetections val = detect_val_split(
+      *dataset_, [&](const Tensor& image, std::int64_t i) { return detect(image, i); });
   EvalDetail d;
-  d.box_map = metrics::coco_map(detections, gt, config_.model.num_classes, false);
-  d.mask_map = metrics::coco_map(detections, gt, config_.model.num_classes, true);
+  d.box_map = metrics::coco_map(val.detections, val.gt, config_.model.num_classes, false);
+  d.mask_map = metrics::coco_map(val.detections, val.gt, config_.model.num_classes, true);
   return d;
 }
 
 double MaskRcnnWorkload::evaluate() {
-  if (!dataset_ || !model_) throw std::logic_error("MaskRcnnWorkload: not prepared");
   const EvalDetail d = evaluate_detail();
   return std::min(d.box_map, d.mask_map);
 }

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "checkpoint/format.h"
+#include "data/loader.h"
 #include "metrics/metrics.h"
 
 namespace mlperf::models {
@@ -90,24 +91,15 @@ void ResNetWorkload::build_model(std::uint64_t seed) {
       config_.base_lr, config_.batch_size, config_.base_batch, config_.warmup_steps,
       config_.lr_decay_gamma, config_.lr_decay_epochs * steps_per_epoch);
   step_ = 0;
-  epochs_trained_ = 0;
-  loader_epoch_base_ = 0;
-  train_loader_.reset();
 }
 
 void ResNetWorkload::train_epoch() {
   if (!data_prepared_ || !model_) throw std::logic_error("ResNetWorkload: not prepared");
   model_->set_training(true);
-  // Lazy construction + start_epoch() replays the historical per-epoch-local
-  // loader's rng draws exactly (the constructor starts the first epoch).
-  if (!train_loader_) {
-    train_loader_ = std::make_unique<data::ImageLoader>(splits_.train, config_.batch_size,
-                                                        &augment_, rng_, /*drop_last=*/false,
-                                                        config_.prefetch_loader);
-  } else {
-    train_loader_->start_epoch();
-  }
-  data::ImageLoader& loader = *train_loader_;
+  // One loader per epoch, drawing its shuffle and augmentation from rng_: an
+  // epoch is a function of rng_ at its start, which the checkpoint holds.
+  data::ImageLoader loader(splits_.train, config_.batch_size, &augment_, rng_,
+                           /*drop_last=*/false, config_.prefetch_loader);
   while (loader.has_next()) {
     train_step(*optimizer_,
                {.lr = schedule_->lr(step_), .weights = config_.weight_format}, [&] {
@@ -116,12 +108,11 @@ void ResNetWorkload::train_epoch() {
                });
     ++step_;
   }
-  ++epochs_trained_;
 }
 
 double ResNetWorkload::evaluate() {
   if (!data_prepared_ || !model_) throw std::logic_error("ResNetWorkload: not prepared");
-  model_->set_training(false);
+  const nn::EvalModeGuard eval_mode(*model_);
   tensor::Rng eval_rng(0);  // no augmentation, order irrelevant
   data::ImageLoader loader(splits_.val, config_.batch_size, nullptr, eval_rng);
   std::vector<std::int64_t> preds, targets;
@@ -131,51 +122,19 @@ double ResNetWorkload::evaluate() {
     for (std::int64_t p : logits.value().argmax_last()) preds.push_back(p);
     targets.insert(targets.end(), batch.labels.begin(), batch.labels.end());
   }
-  model_->set_training(true);
   return metrics::top1_accuracy(preds, targets);
 }
 
 void ResNetWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
-  checkpoint::ByteWriter& progress = out.section("progress");
-  progress.put_i64(step_);
-  progress.put_i64(epochs_trained_);
-  // Loader traversal position. Checkpoints are epoch-boundary-only: between
-  // epochs the traversal is a pure function of the (saved) rng, so epoch
-  // count + an exhausted cursor is the complete loader state.
-  checkpoint::ByteWriter& loader = out.section("loader");
-  if (train_loader_) {
-    train_loader_->drain();
-    if (!train_loader_->epoch_exhausted())
-      throw std::logic_error(
-          "ResNetWorkload: checkpoint requested mid-epoch (loader not exhausted)");
-    // epochs_started() counts this session only (the loader is rebuilt after
-    // a resume); add the restored base so the recorded count is cumulative.
-    loader.put_i64(loader_epoch_base_ + train_loader_->epochs_started());
-    loader.put_i64(train_loader_->cursor());
-    loader.put_i64(train_loader_->epoch_limit());
-  } else {
-    loader.put_i64(loader_epoch_base_);
-    loader.put_i64(0);
-    loader.put_i64(0);
-  }
+  out.section("progress").put_i64(step_);
 }
 
 void ResNetWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
+  // The next epoch's loader is built from the restored rng, so it draws the
+  // shuffle and augmentation the uninterrupted run drew.
   checkpoint::ByteReader progress = in.section("progress");
   step_ = progress.get_i64();
-  epochs_trained_ = progress.get_i64();
-  checkpoint::ByteReader loader = in.section("loader");
-  const std::int64_t epochs_started = loader.get_i64();
-  if (epochs_started != epochs_trained_)
-    throw checkpoint::CheckpointError(
-        "ResNetWorkload: loader epoch count " + std::to_string(epochs_started) +
-        " does not match trained epochs " + std::to_string(epochs_trained_));
-  // The loader itself is rebuilt lazily on the next train_epoch; constructing
-  // it from the restored rng replays the shuffle the uninterrupted run drew.
-  // The rebuilt loader counts epochs from zero, so remember the cumulative
-  // count it resumes from for the next generation's checkpoint.
-  loader_epoch_base_ = epochs_trained_;
-  train_loader_.reset();
+  progress.expect_done();
 }
 
 std::map<std::string, double> ResNetWorkload::hyperparameters() const {

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
+#include "data/augment.h"
 #include "data/dataset.h"
-#include "data/loader.h"
 #include "models/workload.h"
 #include "nn/layers.h"
 #include "numerics/format.h"
@@ -102,7 +101,6 @@ class ResNetWorkload : public Workload {
 
   /// Direct access for tests and the precision/batch-size benches.
   ResNetMini* model() const override { return model_.get(); }
-  std::int64_t step() const { return step_; }
 
  private:
   Config config_;
@@ -112,24 +110,9 @@ class ResNetWorkload : public Workload {
   data::AugmentationPipeline augment_;
   std::unique_ptr<ResNetMini> model_;
   std::unique_ptr<optim::LrSchedule> schedule_;
-  std::int64_t step_ = 0;
-  std::int64_t epochs_trained_ = 0;
-  /// Epochs the loader had started before this session began (restore_state
-  /// sets it to the cumulative epochs_trained_). The loader is rebuilt lazily
-  /// after a resume, so its epochs_started() counts this session only;
-  /// checkpoints record base + session so the audit stays cumulative across
-  /// any number of preempt/restart generations.
-  std::int64_t loader_epoch_base_ = 0;
-  /// Persistent training loader, created lazily on the first train_epoch so
-  /// the rng draw order (one permutation per epoch start, then the per-batch
-  /// augmentation draws) is exactly the draw order of the historical
-  /// loader-per-epoch code. Declared after splits_/augment_, which it
-  /// references, so it is destroyed first (the base's rng_ outlives it too).
-  std::unique_ptr<data::ImageLoader> train_loader_;
+  std::int64_t step_ = 0;  ///< global step, drives the LR schedule
 
-  /// Sections "progress" (global step, epochs trained) and "loader"
-  /// (cumulative epochs started, cursor, limit); drains the loader first
-  /// and requires an epoch boundary.
+  /// Section "progress": the global step.
   void save_sections(checkpoint::CheckpointWriter& out) const override;
   void restore_sections(const checkpoint::CheckpointReader& in) override;
 };

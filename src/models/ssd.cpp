@@ -259,10 +259,9 @@ void SsdWorkload::train_epoch() {
 }
 
 std::vector<metrics::Detection> SsdWorkload::detect(const Tensor& image, std::int64_t image_id) {
-  model_->set_training(false);
+  const nn::EvalModeGuard eval_mode(*model_);
   SsdModel::Output out = model_->forward(
       Variable(image.reshape({1, image.shape()[0], image.shape()[1], image.shape()[2]})));
-  model_->set_training(true);
   const AnchorSet& anchors = model_->anchors();
   const Tensor probs = out.class_logits.value().softmax_last();
   const std::int64_t ncls = probs.shape()[1];
@@ -286,16 +285,9 @@ std::vector<metrics::Detection> SsdWorkload::detect(const Tensor& image, std::in
 
 double SsdWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("SsdWorkload: not prepared");
-  metrics::GroundTruth gt;
-  std::vector<metrics::Detection> detections;
-  gt.per_image.resize(static_cast<std::size_t>(dataset_->val_size()));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i) {
-    const auto& ex = dataset_->val(i);
-    gt.per_image[static_cast<std::size_t>(i)] = ex.objects;
-    auto dets = detect(ex.image, i);
-    detections.insert(detections.end(), dets.begin(), dets.end());
-  }
-  return metrics::coco_map(detections, gt, config_.model.num_classes);
+  const ValDetections val = detect_val_split(
+      *dataset_, [&](const Tensor& image, std::int64_t i) { return detect(image, i); });
+  return metrics::coco_map(val.detections, val.gt, config_.model.num_classes);
 }
 
 std::map<std::string, double> SsdWorkload::hyperparameters() const {

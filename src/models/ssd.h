@@ -46,6 +46,26 @@ MatchResult match_anchors(const AnchorSet& anchors, const std::vector<data::GtOb
 std::vector<std::size_t> nms(const std::vector<data::Box>& boxes,
                              const std::vector<float>& scores, float iou_threshold);
 
+/// The held-out split's ground truth and every image's detections, from
+/// `detect(image, image_index)` in image order (the detection eval loop of
+/// SSD and Mask R-CNN).
+struct ValDetections {
+  metrics::GroundTruth gt;
+  std::vector<metrics::Detection> detections;
+};
+template <typename Detect>
+ValDetections detect_val_split(const data::SyntheticDetectionDataset& dataset, Detect&& detect) {
+  ValDetections out;
+  out.gt.per_image.resize(static_cast<std::size_t>(dataset.val_size()));
+  for (std::int64_t i = 0; i < dataset.val_size(); ++i) {
+    const data::DetectionExample& ex = dataset.val(i);
+    out.gt.per_image[static_cast<std::size_t>(i)] = ex.objects;
+    std::vector<metrics::Detection> dets = detect(ex.image, i);
+    out.detections.insert(out.detections.end(), dets.begin(), dets.end());
+  }
+  return out;
+}
+
 /// Mini SSD detector: a small residual backbone producing two feature maps,
 /// each with a conv head predicting per-anchor class logits (+background)
 /// and box offsets (Liu et al. 2016, Table 1 row 2).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "checkpoint/format.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -190,14 +189,10 @@ std::vector<TokenSeq> TransformerModel::greedy_translate(const std::vector<Token
   return generated;
 }
 
-TransformerWorkload::TransformerWorkload(Config config) : config_(std::move(config)) {
+TransformerWorkload::TransformerWorkload(Config config)
+    : TranslationWorkload(config.dataset, config.batch_size), config_(std::move(config)) {
   config_.model.vocab = config_.dataset.vocab + data::kFirstWord;
   config_.model.max_len = config_.dataset.max_len + 2;  // BOS/EOS headroom
-}
-
-void TransformerWorkload::prepare_data() {
-  dataset_ = std::make_unique<data::SyntheticTranslationDataset>(config_.dataset);
-  length_buckets_ = data::length_buckets(*dataset_, data::Split::kTrain);
 }
 
 void TransformerWorkload::build_model(std::uint64_t seed) {
@@ -206,35 +201,12 @@ void TransformerWorkload::build_model(std::uint64_t seed) {
   optimizer_ = std::make_unique<optim::Adam>(model_->parameters());
 }
 
-void TransformerWorkload::train_epoch() {
-  if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
-  for (const data::TranslationBatch& batch :
-       data::shuffled_bucket_batches(*dataset_, length_buckets_, config_.batch_size, rng_)) {
-    train_step(*optimizer_, {.lr = config_.lr}, [&] {
-      Variable memory = model_->encode(batch.src);
-      Variable logits = model_->decode(batch.tgt_in, memory);
-      return config_.label_smoothing > 0.0f
-                 ? nn::smoothed_cross_entropy(logits, batch.targets, config_.label_smoothing)
-                 : nn::cross_entropy(logits, batch.targets);
-    });
-  }
-}
-
-double TransformerWorkload::evaluate() {
-  if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
-  return bleu_by_length(*dataset_, config_.batch_size, config_.dataset.max_len + 2,
-                        [&](const std::vector<TokenSeq>& src, std::int64_t max_len) {
-                          return model_->greedy_translate(src, max_len);
-                        });
-}
-
-void TransformerWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
-  data::write_length_buckets(out.section("buckets"), length_buckets_);
-}
-
-void TransformerWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
-  checkpoint::ByteReader buckets = in.section("buckets");
-  data::read_length_buckets(buckets, length_buckets_);
+Variable TransformerWorkload::batch_loss(const data::TranslationBatch& batch) {
+  Variable memory = model_->encode(batch.src);
+  Variable logits = model_->decode(batch.tgt_in, memory);
+  return config_.label_smoothing > 0.0f
+             ? nn::smoothed_cross_entropy(logits, batch.targets, config_.label_smoothing)
+             : nn::cross_entropy(logits, batch.targets);
 }
 
 std::map<std::string, double> TransformerWorkload::hyperparameters() const {

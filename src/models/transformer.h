@@ -102,7 +102,7 @@ class TransformerModel : public nn::Module {
 };
 
 /// The non-recurrent translation reference workload (Table 1 row 5).
-class TransformerWorkload : public Workload {
+class TransformerWorkload : public TranslationWorkload {
  public:
   struct Config {
     data::SyntheticTranslationDataset::Config dataset;
@@ -115,25 +115,21 @@ class TransformerWorkload : public Workload {
   explicit TransformerWorkload(Config config);
 
   std::string name() const override { return "translation_nonrecurrent"; }
-  void prepare_data() override;
   void build_model(std::uint64_t seed) override;
-  void train_epoch() override;
-  double evaluate() override;
   std::map<std::string, double> hyperparameters() const override;
-  std::int64_t global_batch_size() const override { return config_.batch_size; }
   std::string model_signature() const override { return "Transformer"; }
-  std::string optimizer_name() const override { return "adam"; }
   TransformerModel* model() const override { return model_.get(); }
 
  private:
-  Config config_;
-  std::unique_ptr<data::SyntheticTranslationDataset> dataset_;
-  std::unique_ptr<TransformerModel> model_;
-  data::LengthBuckets length_buckets_;  ///< training split, by source length
+  StepRule step_rule() const override { return {.lr = config_.lr}; }
+  autograd::Variable batch_loss(const data::TranslationBatch& batch) override;
+  std::vector<data::TokenSeq> greedy_translate(const std::vector<data::TokenSeq>& src,
+                                               std::int64_t max_len) override {
+    return model_->greedy_translate(src, max_len);
+  }
 
-  /// Section "buckets": the training buckets' shuffled order.
-  void save_sections(checkpoint::CheckpointWriter& out) const override;
-  void restore_sections(const checkpoint::CheckpointReader& in) override;
+  Config config_;
+  std::unique_ptr<TransformerModel> model_;
 };
 
 }  // namespace mlperf::models

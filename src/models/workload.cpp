@@ -1,8 +1,10 @@
 #include "models/workload.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "checkpoint/state.h"
+#include "metrics/metrics.h"
 
 namespace mlperf::models {
 
@@ -30,6 +32,47 @@ void Workload::restore_state(const checkpoint::CheckpointReader& in) {
   checkpoint::read_rng(rng_in, rng_);
   rng_in.expect_done();
   restore_sections(in);
+}
+
+void TranslationWorkload::prepare_data() {
+  dataset_ = std::make_unique<data::SyntheticTranslationDataset>(dataset_config_);
+  length_buckets_ = data::length_buckets(*dataset_, data::Split::kTrain);
+}
+
+void TranslationWorkload::train_epoch() {
+  if (!dataset_ || !model()) throw std::logic_error(name() + ": not prepared");
+  for (const data::TranslationBatch& batch :
+       data::shuffled_bucket_batches(*dataset_, length_buckets_, batch_size_, rng_))
+    train_step(*optimizer_, step_rule(), [&] { return batch_loss(batch); });
+}
+
+double TranslationWorkload::evaluate() {
+  if (!dataset_ || !model()) throw std::logic_error(name() + ": not prepared");
+  const std::int64_t max_len = dataset_config_.max_len + 2;  // BOS/EOS headroom
+  const auto batch = static_cast<std::size_t>(batch_size_);
+  std::vector<data::TokenSeq> hyps, refs;
+  for (const auto& bucket : data::length_buckets(*dataset_, data::Split::kVal)) {
+    for (std::size_t off = 0; off < bucket.size(); off += batch) {
+      const std::size_t end = std::min(off + batch, bucket.size());
+      std::vector<data::TokenSeq> src;
+      for (std::size_t k = off; k < end; ++k) src.push_back(dataset_->val(bucket[k]).source);
+      std::vector<data::TokenSeq> out = greedy_translate(src, max_len);
+      for (std::size_t k = off; k < end; ++k) {
+        refs.push_back(dataset_->val(bucket[k]).target);
+        hyps.push_back(std::move(out[k - off]));
+      }
+    }
+  }
+  return metrics::bleu(hyps, refs);
+}
+
+void TranslationWorkload::save_sections(checkpoint::CheckpointWriter& out) const {
+  data::write_length_buckets(out.section("buckets"), length_buckets_);
+}
+
+void TranslationWorkload::restore_sections(const checkpoint::CheckpointReader& in) {
+  checkpoint::ByteReader buckets = in.section("buckets");
+  data::read_length_buckets(buckets, length_buckets_);
 }
 
 }  // namespace mlperf::models

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,7 +9,6 @@
 
 #include "autograd/variable.h"
 #include "data/translation.h"
-#include "metrics/metrics.h"
 #include "nn/module.h"
 #include "numerics/format.h"
 #include "optim/optimizer.h"
@@ -75,8 +73,7 @@ class Workload {
 
  protected:
   /// Sections for state the base does not hold, written after "rng" and
-  /// read strictly (default: none). save_sections must drain any
-  /// asynchronous work (e.g. a prefetching loader) before snapshotting.
+  /// read strictly (default: none).
   virtual void save_sections(checkpoint::CheckpointWriter& /*out*/) const {}
   virtual void restore_sections(const checkpoint::CheckpointReader& /*in*/) {}
 
@@ -129,26 +126,44 @@ autograd::Variable train_step(optim::Optimizer& optimizer, const StepRule& rule,
   return loss;
 }
 
-/// Corpus BLEU of `translate(sources, max_len)` over the held-out split,
-/// decoded in equal-length batches of up to `batch_size` (batched greedy
-/// decode needs equal source lengths), shortest bucket first.
-template <typename Translate>
-double bleu_by_length(const data::SyntheticTranslationDataset& dataset, std::int64_t batch_size,
-                      std::int64_t max_len, Translate&& translate) {
-  std::vector<data::TokenSeq> hyps, refs;
-  for (const auto& bucket : data::length_buckets(dataset, data::Split::kVal)) {
-    for (std::size_t off = 0; off < bucket.size(); off += static_cast<std::size_t>(batch_size)) {
-      const std::size_t end = std::min(off + static_cast<std::size_t>(batch_size), bucket.size());
-      std::vector<data::TokenSeq> src;
-      for (std::size_t k = off; k < end; ++k) src.push_back(dataset.val(bucket[k]).source);
-      std::vector<data::TokenSeq> out = translate(src, max_len);
-      for (std::size_t k = off; k < end; ++k) {
-        refs.push_back(dataset.val(bucket[k]).target);
-        hyps.push_back(std::move(out[k - off]));
-      }
-    }
-  }
-  return metrics::bleu(hyps, refs);
-}
+/// The translation reference workloads (Table 1 rows 4 and 5): one synthetic
+/// language pair, teacher-forced training over length-bucketed batches, and
+/// corpus BLEU of greedy decodes over the held-out split. The base owns the
+/// dataset, the training buckets and their checkpoint section ("buckets");
+/// a subclass builds its model and supplies the three hooks below.
+class TranslationWorkload : public Workload {
+ public:
+  void prepare_data() override;
+  /// One epoch of shuffled_bucket_batches, one train_step per batch.
+  void train_epoch() override;
+  /// Corpus BLEU of greedy_translate over the held-out split, decoded in
+  /// equal-length batches of up to the batch size (batched greedy decode
+  /// needs equal source lengths), shortest bucket first.
+  double evaluate() override;
+  std::int64_t global_batch_size() const override { return batch_size_; }
+  std::string optimizer_name() const override { return "adam"; }
+
+ protected:
+  TranslationWorkload(data::SyntheticTranslationDataset::Config dataset, std::int64_t batch_size)
+      : dataset_config_(dataset), batch_size_(batch_size) {}
+
+  /// How every step updates the weights (e.g. GNMT's gradient clip).
+  virtual StepRule step_rule() const = 0;
+  /// One batch's scalar training loss.
+  virtual autograd::Variable batch_loss(const data::TranslationBatch& batch) = 0;
+  /// Greedy decode of a batch of equal-length sources, up to `max_len` tokens.
+  virtual std::vector<data::TokenSeq> greedy_translate(const std::vector<data::TokenSeq>& src,
+                                                       std::int64_t max_len) = 0;
+
+ private:
+  /// Section "buckets": the training buckets' shuffled order.
+  void save_sections(checkpoint::CheckpointWriter& out) const override;
+  void restore_sections(const checkpoint::CheckpointReader& in) override;
+
+  data::SyntheticTranslationDataset::Config dataset_config_;
+  std::int64_t batch_size_;
+  std::unique_ptr<data::SyntheticTranslationDataset> dataset_;
+  data::LengthBuckets length_buckets_;  ///< training split, by source length
+};
 
 }  // namespace mlperf::models

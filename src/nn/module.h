@@ -106,6 +106,22 @@ class Module {
   bool training_ = true;
 };
 
+/// Puts a module in eval mode for the guard's lifetime and restores its
+/// previous mode on every exit.
+class EvalModeGuard {
+ public:
+  explicit EvalModeGuard(Module& module) : module_(module), was_training_(module.training()) {
+    module_.set_training(false);
+  }
+  EvalModeGuard(const EvalModeGuard&) = delete;
+  EvalModeGuard& operator=(const EvalModeGuard&) = delete;
+  ~EvalModeGuard() { module_.set_training(was_training_); }
+
+ private:
+  Module& module_;
+  bool was_training_;
+};
+
 /// Weight-initialization helpers (paper §3.4: references pin parameter
 /// initialization; we standardize on these so all models are reproducible).
 namespace init {

@@ -850,6 +850,28 @@ TEST(WorkloadSections, MiniGoReplayCountBeyondPayloadOrCapacityIsRejected) {
   }
 }
 
+// ResNet's "progress" holds the global step and nothing else; a payload with
+// a trailing i64 (the epoch count the section once carried) is rejected.
+TEST(WorkloadSections, ResnetProgressWithTrailingI64IsRejected) {
+  SavedWorkload saved = train_one_epoch_and_save(BenchmarkId::kImageClassification);
+  const CheckpointReader good = CheckpointReader::parse(saved.state.serialize(), "state");
+  ByteReader progress = good.section("progress");
+  const std::int64_t step = progress.get_i64();
+  progress.expect_done();
+  ByteWriter forged;
+  forged.put_i64(step);
+  forged.put_i64(1);
+  const CheckpointReader in =
+      CheckpointReader::parse(with_section(saved.state, "progress", forged), "forged");
+  auto fresh = harness::make_reference_workload(BenchmarkId::kImageClassification,
+                                                WorkloadScale::kSmoke);
+  fresh->prepare_data();
+  fresh->build_model(7);
+  EXPECT_THROW(fresh->restore_state(in), CheckpointError);
+  // The unforged section restores.
+  fresh->restore_state(good);
+}
+
 TEST(WorkloadSections, BucketHoldingAnotherBucketsIndexIsRejected) {
   for (const BenchmarkId id :
        {BenchmarkId::kTranslationRecurrent, BenchmarkId::kTranslationNonRecurrent}) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -164,7 +165,6 @@ TEST(Loader, DropLastMakesFullBatchesOnly) {
     ++batches;
   }
   EXPECT_EQ(batches, 3);
-  EXPECT_EQ(loader.batches_per_epoch(), 3);
 }
 
 TEST(Loader, RaggedLastBatchKeptWithoutDropLast) {
@@ -179,7 +179,7 @@ TEST(Loader, RaggedLastBatchKeptWithoutDropLast) {
     std::vector<std::size_t> sizes;
     while (loader.has_next()) sizes.push_back(loader.next().labels.size());
     EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4, 2})) << "prefetch=" << prefetch;
-    EXPECT_EQ(loader.batches_per_epoch(), 3);
+    EXPECT_EQ(sizes.size(), 3u);
     EXPECT_THROW(loader.next(), std::logic_error);
   }
 }
@@ -195,7 +195,7 @@ TEST(Loader, RaggedLastBatchDroppedWithDropLast) {
     std::vector<std::size_t> sizes;
     while (loader.has_next()) sizes.push_back(loader.next().labels.size());
     EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4})) << "prefetch=" << prefetch;
-    EXPECT_EQ(loader.batches_per_epoch(), 2);
+    EXPECT_EQ(sizes.size(), 2u);
   }
 }
 
@@ -208,13 +208,11 @@ TEST(Loader, BatchLargerThanDataset) {
     // drop_last off: one short batch holding the whole dataset.
     Rng rng(23);
     ImageLoader keep(splits.train, 8, nullptr, rng, /*drop_last=*/false, prefetch);
-    EXPECT_EQ(keep.batches_per_epoch(), 1);
     ASSERT_TRUE(keep.has_next());
     EXPECT_EQ(keep.next().labels.size(), 3u);
     EXPECT_FALSE(keep.has_next());
     // drop_last on: no full batch exists -> the epoch is empty.
     ImageLoader drop(splits.train, 8, nullptr, rng, /*drop_last=*/true, prefetch);
-    EXPECT_EQ(drop.batches_per_epoch(), 0);
     EXPECT_FALSE(drop.has_next());
     EXPECT_THROW(drop.next(), std::logic_error);
   }
@@ -329,6 +327,52 @@ TEST_F(PrefetchLoader, RestartAndDestroyWithBatchInFlight) {
     EXPECT_EQ(got[i].labels, ref[i].labels);
     EXPECT_EQ(got[i].images.vec(), ref[i].images.vec());
   }
+}
+
+// A training loop may keep one loader and call start_epoch() between epochs,
+// or build a fresh loader over the same Rng each epoch (the constructor
+// starts the first epoch). Both must draw the same shuffles and the same
+// augmentation, inline and prefetching, at 1 and 4 threads.
+TEST(Loader, FreshLoaderPerEpochMatchesRestartedLoader) {
+  SyntheticImageDataset::Config cfg;
+  cfg.train_size = 22;  // ragged last batch
+  SyntheticImageDataset ds(cfg);
+  ReformattedSplits splits = reformat(ds);
+  const AugmentationPipeline aug = AugmentationPipeline::reference_image_pipeline();
+  constexpr int kEpochs = 3;
+  for (const bool prefetch : {false, true}) {
+    for (const std::int64_t threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      std::vector<ImageBatch> restarted, fresh;
+      Rng rng_a(61);
+      ImageLoader kept(splits.train, 4, &aug, rng_a, /*drop_last=*/false, prefetch);
+      for (int e = 0; e < kEpochs; ++e) {
+        if (e > 0) kept.start_epoch();
+        while (kept.has_next()) restarted.push_back(kept.next());
+      }
+      Rng rng_b(61);
+      for (int e = 0; e < kEpochs; ++e) {
+        ImageLoader loader(splits.train, 4, &aug, rng_b, /*drop_last=*/false, prefetch);
+        while (loader.has_next()) fresh.push_back(loader.next());
+      }
+      ASSERT_EQ(fresh.size(), restarted.size());
+      EXPECT_EQ(fresh.size(), static_cast<std::size_t>(kEpochs * 6));
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const ImageBatch& a = restarted[i];
+        const ImageBatch& b = fresh[i];
+        EXPECT_EQ(a.labels, b.labels) << "prefetch=" << prefetch << " threads=" << threads
+                                      << " batch " << i;
+        ASSERT_EQ(a.images.numel(), b.images.numel());
+        EXPECT_EQ(std::memcmp(a.images.data(), b.images.data(),
+                              static_cast<std::size_t>(a.images.numel()) * sizeof(float)),
+                  0)
+            << "prefetch=" << prefetch << " threads=" << threads << " batch " << i;
+      }
+      // Both sides drew the same number of values from their Rngs.
+      EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+    }
+  }
+  parallel::set_num_threads(1);
 }
 
 TEST(Loader, ReshufflesBetweenEpochs) {
