@@ -52,6 +52,22 @@ void Node::accumulate_grad(const Tensor& g) {
   });
 }
 
+void Node::accumulate_grad(Tensor&& g) {
+  if (grad_initialized || g.shape() != value.shape()) {
+    accumulate_grad(static_cast<const Tensor&>(g));
+    return;
+  }
+  // First touch: adopt g's buffer. `0.0f + x` in place keeps the signed-zero
+  // normalization of the copying path above.
+  grad = std::move(g);
+  float* p = grad.data();
+  parallel::parallel_for(parallel::grain_for(1), grad.numel(),
+                         [&](std::int64_t begin, std::int64_t end) {
+                           for (std::int64_t i = begin; i < end; ++i) p[i] = 0.0f + p[i];
+                         });
+  grad_initialized = true;
+}
+
 }  // namespace detail
 
 namespace {
@@ -177,38 +193,23 @@ std::int64_t GraphEpoch::last_pool_hits() {
 
 // ---- op helpers ------------------------------------------------------------
 
-namespace {
-
-// Forward `f` and the two gradient functors are template parameters, so the
-// forward element loop inlines `f` (Tensor::binary's template path) and the
-// backward closure carries the functors by value instead of as
-// std::function copies. Each gradient functor maps (out_grad, a, b) values
-// to that parent's unreduced gradient.
-template <typename F, typename GradA, typename GradB>
-Variable broadcast_binary(const Variable& a, const Variable& b, F f, GradA grad_a,
-                          GradB grad_b) {
-  Tensor out = a.value().binary(b.value(), f);
+// The identity gradient goes to each parent by reference: no copy per parent.
+Variable add(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
-  return Variable::from_op(std::move(out), {a, b}, [an, bn, grad_a, grad_b](const Tensor& g) {
-    if (an->requires_grad) an->accumulate_grad(grad_a(g, an->value, bn->value));
-    if (bn->requires_grad) bn->accumulate_grad(grad_b(g, an->value, bn->value));
+  return Variable::from_op(a.value().add(b.value()), {a, b}, [an, bn](const Tensor& g) {
+    if (an->requires_grad) an->accumulate_grad(g);
+    if (bn->requires_grad) bn->accumulate_grad(g);
   });
 }
 
-}  // namespace
-
-Variable add(const Variable& a, const Variable& b) {
-  return broadcast_binary(
-      a, b, std::plus<float>{}, [](const Tensor& g, const Tensor&, const Tensor&) { return g; },
-      [](const Tensor& g, const Tensor&, const Tensor&) { return g; });
-}
-
 Variable mul(const Variable& a, const Variable& b) {
-  return broadcast_binary(
-      a, b, std::multiplies<float>{},
-      [](const Tensor& g, const Tensor&, const Tensor& bv) { return g.mul(bv); },
-      [](const Tensor& g, const Tensor& av, const Tensor&) { return g.mul(av); });
+  auto an = a.node();
+  auto bn = b.node();
+  return Variable::from_op(a.value().mul(b.value()), {a, b}, [an, bn](const Tensor& g) {
+    if (an->requires_grad) an->accumulate_grad(g.mul(bn->value));
+    if (bn->requires_grad) bn->accumulate_grad(g.mul(an->value));
+  });
 }
 
 Variable add_scalar(const Variable& a, float s) {
@@ -268,8 +269,8 @@ Variable bmm(const Variable& a, const Variable& b, tensor::Trans ta, tensor::Tra
 Variable relu(const Variable& a) {
   auto an = a.node();
   return Variable::from_op(a.value().relu(), {a}, [an](const Tensor& g) {
-    Tensor masked = g.binary(an->value, [](float gv, float x) { return x > 0.0f ? gv : 0.0f; });
-    an->accumulate_grad(masked);
+    an->accumulate_grad(
+        g.binary(an->value, [](float gv, float x) { return x > 0.0f ? gv : 0.0f; }));
   });
 }
 
@@ -287,10 +288,12 @@ Variable add_relu(const Variable& a, const Variable& b) {
     // y > 0 iff the pre-activation sum > 0 (y equals the sum where positive,
     // 0 elsewhere; NaN compares false in both), so masking on the output is
     // the unfused relu-backward mask — and the one masked tensor feeds both
-    // parents exactly as the unfused add node would pass it through.
+    // parents exactly as the unfused add node would pass it through. b reads
+    // it by reference and a adopts it: a bias b reduces it anyway. Distinct
+    // parents make the order irrelevant, and a == b sums the same m twice.
     Tensor masked = g.binary(y, [](float gv, float yv) { return yv > 0.0f ? gv : 0.0f; });
-    if (an->requires_grad) an->accumulate_grad(masked);
     if (bn->requires_grad) bn->accumulate_grad(masked);
+    if (an->requires_grad) an->accumulate_grad(std::move(masked));
   });
 }
 
@@ -336,7 +339,7 @@ Variable slice0(const Variable& a, std::int64_t begin, std::int64_t end) {
     Tensor full(an->value.shape());
     const std::int64_t row = full.numel() / std::max<std::int64_t>(full.shape()[0], 1);
     std::copy(g.vec().begin(), g.vec().end(), full.vec().begin() + begin * row);
-    an->accumulate_grad(full);
+    an->accumulate_grad(std::move(full));
   });
 }
 
@@ -387,7 +390,7 @@ Variable softmax_last(const Variable& a) {
               dr[j] = yr[j] * (gr[j] - static_cast<float>(dot));
           }
         });
-    an->accumulate_grad(dx);
+    an->accumulate_grad(std::move(dx));
   });
 }
 
@@ -412,7 +415,7 @@ Variable log_softmax_last(const Variable& a) {
               dr[j] = gr[j] - std::exp(yr[j]) * static_cast<float>(gsum);
           }
         });
-    an->accumulate_grad(dx);
+    an->accumulate_grad(std::move(dx));
   });
 }
 
@@ -438,7 +441,7 @@ Variable embedding(const Variable& table, const std::vector<std::int64_t>& indic
       float* dst = dt.data() + row * dim;
       for (std::int64_t d = 0; d < dim; ++d) dst[d] += src[d];
     }
-    tn->accumulate_grad(dt);
+    tn->accumulate_grad(std::move(dt));
   });
 }
 

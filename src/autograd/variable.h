@@ -23,7 +23,15 @@ struct Node {
   std::vector<std::shared_ptr<Node>> parents;
   BackwardFn backward_fn;       // empty for leaves
 
+  /// grad += g, reducing a broadcast `g` to the value's shape first. The
+  /// first touch of a same-shape `g` writes `0.0f + g` (the float add the
+  /// zero-filled accumulate would make: -0.0 becomes +0.0) into a pooled
+  /// buffer.
   void accumulate_grad(const tensor::Tensor& g);
+  /// The same sum for a gradient the caller built and no longer needs: on
+  /// first touch the node adopts `g`'s buffer and applies `0.0f + x` in
+  /// place instead of copying it (same bits, no second buffer).
+  void accumulate_grad(tensor::Tensor&& g);
 };
 }  // namespace detail
 

@@ -93,14 +93,14 @@ Variable concat_features(const Variable& a, const Variable& b) {
       Tensor ga({n, da});
       for (std::int64_t r = 0; r < n; ++r)
         std::copy(g.data() + r * (da + db), g.data() + r * (da + db) + da, ga.data() + r * da);
-      an->accumulate_grad(ga);
+      an->accumulate_grad(std::move(ga));
     }
     if (bn->requires_grad) {
       Tensor gb({n, db});
       for (std::int64_t r = 0; r < n; ++r)
         std::copy(g.data() + r * (da + db) + da, g.data() + (r + 1) * (da + db),
                   gb.data() + r * db);
-      bn->accumulate_grad(gb);
+      bn->accumulate_grad(std::move(gb));
     }
   });
 }

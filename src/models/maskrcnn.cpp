@@ -76,7 +76,7 @@ Variable roi_align(const Variable& features, const std::vector<Box>& rois, std::
                                      plane[i1 * w + j1] += gv * (1 - s.wi) * (1 - s.wj);
                                    }
                                  }
-                             fn->accumulate_grad(df);
+                             fn->accumulate_grad(std::move(df));
                            });
 }
 

@@ -299,9 +299,9 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
                                        dst[i] += dws[i];
                                    }
                                  });
-          w_node->accumulate_grad(dW);
+          w_node->accumulate_grad(std::move(dW));
         }
-        if (need_x) in_node->accumulate_grad(dX);
+        if (need_x) in_node->accumulate_grad(std::move(dX));
         if (has_bias && b_node->requires_grad) {
           Tensor db({d.o});
           core::OpTimer op_timer(core::ProfiledOp::kConvDb);
@@ -322,7 +322,7 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
                     dbp[o] += static_cast<float>(acc);
                   }
               });
-          b_node->accumulate_grad(db);
+          b_node->accumulate_grad(std::move(db));
         }
       });
 }
@@ -353,7 +353,7 @@ Variable global_avg_pool(const Variable& input) {
             for (std::int64_t i = 0; i < hw; ++i) plane[i] += gv;
           }
         });
-    in_node->accumulate_grad(dx);
+    in_node->accumulate_grad(std::move(dx));
   });
 }
 
@@ -386,7 +386,7 @@ Variable upsample2x(const Variable& input) {
           ds[i * w + j] = gs[(2 * i) * 2 * w + 2 * j] + gs[(2 * i) * 2 * w + 2 * j + 1] +
                           gs[(2 * i + 1) * 2 * w + 2 * j] + gs[(2 * i + 1) * 2 * w + 2 * j + 1];
     }
-    in_node->accumulate_grad(dx);
+    in_node->accumulate_grad(std::move(dx));
   });
 }
 
@@ -456,7 +456,7 @@ Variable fused_scaled_softmax(const Variable& scores, float scale, const Tensor&
             for (std::int64_t j = 0; j < last; ++j) dr[j] = yr[j] * (gr[j] - dotf) * scale;
           }
         });
-    zn->accumulate_grad(dx);
+    zn->accumulate_grad(std::move(dx));
   });
 }
 
@@ -508,7 +508,7 @@ Variable weighted_cross_entropy(const Variable& logits, const std::vector<std::i
                                      dr[targets[static_cast<std::size_t>(i)]] -= f;
                                    }
                                  });
-                             zn->accumulate_grad(dz);
+                             zn->accumulate_grad(std::move(dz));
                            });
 }
 
@@ -550,7 +550,7 @@ Variable smoothed_cross_entropy(const Variable& logits,
                 dr[targets[static_cast<std::size_t>(i)]] -= f * on_target;
               }
             });
-        zn->accumulate_grad(dz);
+        zn->accumulate_grad(std::move(dz));
       });
 }
 
@@ -574,7 +574,7 @@ Variable bce_with_logits(const Variable& logits, const std::vector<float>& targe
       const float s = 1.0f / (1.0f + std::exp(-zn->value[i]));
       dz[i] = f * (s - targets[static_cast<std::size_t>(i)]);
     }
-    zn->accumulate_grad(dz);
+    zn->accumulate_grad(std::move(dz));
   });
 }
 
@@ -615,7 +615,7 @@ Variable smooth_l1(const Variable& pred, const Tensor& target,
             dp[r * cols + q] = gv * w * inv_wsum * grad;
           }
         }
-        pn->accumulate_grad(dp);
+        pn->accumulate_grad(std::move(dp));
       });
 }
 
@@ -634,7 +634,7 @@ Variable mse(const Variable& pred, const Tensor& target) {
     Tensor dp(pn->value.shape());
     const float f = 2.0f * g[0] / static_cast<float>(n);
     for (std::int64_t i = 0; i < n; ++i) dp[i] = f * (pn->value[i] - target[i]);
-    pn->accumulate_grad(dp);
+    pn->accumulate_grad(std::move(dp));
   });
 }
 

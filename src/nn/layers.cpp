@@ -162,9 +162,9 @@ Variable BatchNorm2d::forward(const Variable& x) {
                 }
               }
             });
-        if (gn->requires_grad) gn->accumulate_grad(dgamma);
-        if (bn->requires_grad) bn->accumulate_grad(dbeta);
-        if (need_x) xn->accumulate_grad(dx);
+        if (gn->requires_grad) gn->accumulate_grad(std::move(dgamma));
+        if (bn->requires_grad) bn->accumulate_grad(std::move(dbeta));
+        if (need_x) xn->accumulate_grad(std::move(dx));
       });
 }
 
@@ -218,8 +218,8 @@ Variable LayerNorm::forward(const Variable& x) const {
             dbeta[i] += gp[i];
           }
         }
-        if (gn->requires_grad) gn->accumulate_grad(dgamma);
-        if (bn->requires_grad) bn->accumulate_grad(dbeta);
+        if (gn->requires_grad) gn->accumulate_grad(std::move(dgamma));
+        if (bn->requires_grad) bn->accumulate_grad(std::move(dbeta));
         if (!xn->requires_grad) return;
         Tensor dx(xn->value.shape());
         const float inv_d = 1.0f / static_cast<float>(d);
@@ -240,7 +240,7 @@ Variable LayerNorm::forward(const Variable& x) const {
                           xh[i] * inv_d * static_cast<float>(s2));
           }
         }
-        xn->accumulate_grad(dx);
+        xn->accumulate_grad(std::move(dx));
       });
 }
 
@@ -353,19 +353,118 @@ MultiHeadAttention::MultiHeadAttention(std::int64_t model_dim_, std::int64_t hea
   register_module("wo", wo);
 }
 
+namespace {
+
+// Head split and merge as copies between the [B*T, D] row layout and the
+// head-major [B*H, T, Dh] one: row b*T + t, columns [h*Dh, (h+1)*Dh) is
+// row t of slab b*H + h.
+void rows_to_heads(const float* rows, float* heads_out, std::int64_t n_rows, std::int64_t t,
+                   std::int64_t heads, std::int64_t dh) {
+  for (std::int64_t r = 0; r < n_rows; ++r)
+    for (std::int64_t h = 0; h < heads; ++h)
+      std::copy_n(rows + (r * heads + h) * dh, dh,
+                  heads_out + (((r / t) * heads + h) * t + r % t) * dh);
+}
+
+void heads_to_rows(const float* heads_in, float* rows, std::int64_t n_rows, std::int64_t t,
+                   std::int64_t heads, std::int64_t dh) {
+  for (std::int64_t r = 0; r < n_rows; ++r)
+    for (std::int64_t h = 0; h < heads; ++h)
+      std::copy_n(heads_in + (((r / t) * heads + h) * t + r % t) * dh, dh,
+                  rows + (r * heads + h) * dh);
+}
+
+// y[r, c] = y[r, c] + bias[c]: the float add of Linear's broadcast bias add.
+void add_bias_rows(Tensor& y, const Tensor& bias) {
+  const std::int64_t d = bias.numel();
+  for (float* row = y.data(); row < y.data() + y.numel(); row += d)
+    for (std::int64_t c = 0; c < d; ++c) row[c] = row[c] + bias[c];
+}
+
+}  // namespace
+
+// One node for y = x2 W^T + b on the [B*T, D] rows x2 of x, split into heads.
+// It must stay bitwise equal to w.forward on the rows followed by a
+// reshape/permute head split (the oracle in tests/test_nn.cpp): the same GEMM
+// folds and bias adds, and copies for the rest. Backward gathers g into
+// [B*T, D] once and forms dx = g W, dW = g^T x2 (the matmul closure's Trans
+// variants) and db by reduce_to. Parents are (x, W, b), so the backward sweep
+// reaches x where it reached that chain, and every gradient buffer receives
+// its contributions in the same order. g's signed zeros need no normalizing:
+// each GEMM and the bias reduction start their folds at +0.0f.
 Variable MultiHeadAttention::project_heads(const Linear& w, const Variable& x) const {
-  using namespace autograd;
-  const std::int64_t b = x.shape()[0], t = x.shape()[1], dh = model_dim / heads;
-  Variable proj = w.forward(reshape(x, {b * t, model_dim}));
-  // [B, T, H, Dh] -> [B, H, T, Dh] -> [B*H, T, Dh]
-  Variable shaped = reshape(proj, {b, t, heads, dh});
-  return reshape(permute(shaped, {0, 2, 1, 3}), {b * heads, t, dh});
+  const Tensor& xv = x.value();
+  const std::int64_t t = xv.shape()[1], d = model_dim, dh = d / heads;
+  const std::int64_t rows = xv.shape()[0] * t;
+  Tensor y({rows, d});  // the GEMM accumulates into zeros
+  tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::T, rows, d, d, xv.data(), d,
+                            w.weight.value().data(), d, y.data());
+  add_bias_rows(y, w.bias.value());
+  Tensor out = Tensor::uninitialized({xv.shape()[0] * heads, t, dh});  // fully copied into
+  rows_to_heads(y.data(), out.data(), rows, t, heads, dh);
+  auto xn = x.node();
+  auto wn = w.weight.node();
+  auto bn = w.bias.node();
+  const std::int64_t hs = heads;
+  return Variable::from_op(
+      std::move(out), {x, w.weight, w.bias}, [xn, wn, bn, hs, t, d, dh, rows](const Tensor& g) {
+        Tensor g2 = Tensor::uninitialized({rows, d});  // fully copied into
+        heads_to_rows(g.data(), g2.data(), rows, t, hs, dh);
+        if (bn->requires_grad) bn->accumulate_grad(g2.reduce_to({d}));
+        if (wn->requires_grad) {
+          Tensor dw({d, d});
+          tensor::matmul_accumulate(tensor::Trans::T, tensor::Trans::N, d, d, rows, g2.data(), d,
+                                    xn->value.data(), d, dw.data());
+          wn->accumulate_grad(std::move(dw));
+        }
+        if (xn->requires_grad) {
+          Tensor dx(xn->value.shape());
+          tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::N, rows, d, d, g2.data(), d,
+                                    wn->value.data(), d, dx.data());
+          xn->accumulate_grad(std::move(dx));
+        }
+      });
+}
+
+// The merge back to [B, T, D] through wo as one node, bitwise equal to a
+// permute head merge followed by wo.forward by the argument above. The
+// gathered rows are kept for dW; g already has the row layout.
+Variable MultiHeadAttention::merge_heads(const Variable& ctx) const {
+  const std::int64_t b = ctx.shape()[0] / heads, t = ctx.shape()[1], rows = b * t;
+  const std::int64_t d = model_dim, dh = d / heads;
+  Tensor merged = Tensor::uninitialized({rows, d});  // fully copied into
+  heads_to_rows(ctx.value().data(), merged.data(), rows, t, heads, dh);
+  Tensor out({b, t, d});  // the GEMM accumulates into zeros
+  tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::T, rows, d, d, merged.data(), d,
+                            wo.weight.value().data(), d, out.data());
+  add_bias_rows(out, wo.bias.value());
+  auto cn = ctx.node();
+  auto wn = wo.weight.node();
+  auto bn = wo.bias.node();
+  const std::int64_t hs = heads;
+  return Variable::from_op(
+      std::move(out), {ctx, wo.weight, wo.bias},
+      [cn, wn, bn, merged = std::move(merged), hs, t, d, dh, rows](const Tensor& g) {
+        if (bn->requires_grad) bn->accumulate_grad(g.reduce_to({d}));
+        if (wn->requires_grad) {
+          Tensor dw({d, d});
+          tensor::matmul_accumulate(tensor::Trans::T, tensor::Trans::N, d, d, rows, g.data(), d,
+                                    merged.data(), d, dw.data());
+          wn->accumulate_grad(std::move(dw));
+        }
+        if (!cn->requires_grad) return;
+        Tensor dm({rows, d});
+        tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::N, rows, d, d, g.data(), d,
+                                  wn->value.data(), d, dm.data());
+        Tensor dctx = Tensor::uninitialized(cn->value.shape());  // fully copied into
+        rows_to_heads(dm.data(), dctx.data(), rows, t, hs, dh);
+        cn->accumulate_grad(std::move(dctx));
+      });
 }
 
 Variable MultiHeadAttention::forward(const Variable& q_in, const Variable& k_in,
                                      const Variable& v_in, bool causal) const {
   using namespace autograd;
-  const std::int64_t b = q_in.shape()[0];
   const std::int64_t tq = q_in.shape()[1];
   const std::int64_t tk = k_in.shape()[1];
   const std::int64_t dh = model_dim / heads;
@@ -386,11 +485,7 @@ Variable MultiHeadAttention::forward(const Variable& q_in, const Variable& k_in,
         mask[i * tk + j] = j > i ? -1e9f : 0.0f;
   }
   Variable attn = fused_scaled_softmax(scores, 1.0f / std::sqrt(static_cast<float>(dh)), mask);
-  Variable ctx = bmm(attn, v);  // [B*H, Tq, Dh]
-  // back to [B, Tq, D]
-  Variable merged = reshape(permute(reshape(ctx, {b, heads, tq, dh}), {0, 2, 1, 3}),
-                            {b * tq, model_dim});
-  return reshape(wo.forward(merged), {b, tq, model_dim});
+  return merge_heads(bmm(attn, v));
 }
 
 MultiHeadAttention::KvCache MultiHeadAttention::empty_cache(std::int64_t batch,

@@ -157,8 +157,10 @@ class MultiHeadAttention : public Module {
   Linear wq, wk, wv, wo;
 
  private:
-  /// x [B, T, D] through `w`, split into heads: [B*H, T, Dh].
+  /// x [B, T, D] through `w`, split into heads: [B*H, T, Dh]. One node.
   autograd::Variable project_heads(const Linear& w, const autograd::Variable& x) const;
+  /// ctx [B*H, T, Dh] merged back to [B, T, D] rows through wo. One node.
+  autograd::Variable merge_heads(const autograd::Variable& ctx) const;
 };
 
 }  // namespace mlperf::nn

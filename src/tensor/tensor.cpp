@@ -451,22 +451,26 @@ Tensor Tensor::matmul(const Tensor& o, Trans ta, Trans tb) const {
   const std::int64_t n = tb == Trans::N ? o.shape_[1] : o.shape_[0];
   if (ka != kb)
     fail("matmul(): inner extent mismatch " + shape_str(shape_) + " x " + shape_str(o.shape_));
-  const std::int64_t lda = shape_[1], ldb = o.shape_[1];
   Tensor out({m, n});
+  matmul_accumulate(ta, tb, m, n, ka, data(), shape_[1], o.data(), o.shape_[1], out.data());
+  return out;
+}
+
+void matmul_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+                       const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+                       float* c) {
   // Pack op(B) once on the calling thread; the packed panels are shared
   // read-only across the row-partitions below. Each row of C accumulates its
   // k-products in ascending order with a single accumulator, so any row
   // partition is bitwise identical to the single-threaded result.
   ScratchArena::Frame frame(ScratchArena::tls());
-  float* bp = frame.alloc(gemm_packed_b_size(ka, n));
-  gemm_pack_b(tb, o.data(), ldb, ka, n, bp);
+  float* bp = frame.alloc(gemm_packed_b_size(k, n));
+  gemm_pack_b(tb, b, ldb, k, n, bp);
   const std::int64_t a_row_stride = ta == Trans::N ? lda : 1;
   parallel::parallel_for(
-      parallel::grain_for(ka * n), m, [&](std::int64_t begin, std::int64_t end) {
-        gemm_packed(ta, data() + begin * a_row_stride, lda, bp, end - begin, n, ka,
-                    out.data() + begin * n, n);
+      parallel::grain_for(k * n), m, [&](std::int64_t begin, std::int64_t end) {
+        gemm_packed(ta, a + begin * a_row_stride, lda, bp, end - begin, n, k, c + begin * n, n);
       });
-  return out;
 }
 
 Tensor Tensor::bmm(const Tensor& o) const { return bmm(o, Trans::N, Trans::N); }

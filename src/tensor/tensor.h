@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -120,9 +121,12 @@ class Tensor {
     const float* pa = data();
     const float* pb = o.data();
     float* po = out.data();
+    const std::size_t last = rank - 1;  // rank >= 1: unequal shapes broadcast to rank >= 1
+    const std::int64_t row = plan.shape[last], sa = plan.sa[last], sb = plan.sb[last];
     parallel::parallel_for(kElemGrain, out.numel(), [&](std::int64_t begin, std::int64_t end) {
-      // Odometer iteration: decompose `begin` once, then advance coordinates
-      // incrementally — no per-element div/mod.
+      // Odometer over innermost rows: decompose `begin` once, run the rest of
+      // its row with the innermost strides, then carry into the outer
+      // coordinates once per row — no per-element div/mod or carry.
       std::vector<std::int64_t> coord(rank, 0);
       std::int64_t ia = 0, ib = 0, rem = begin;
       for (std::size_t d = 0; d < rank; ++d) {
@@ -131,16 +135,18 @@ class Tensor {
         ia += coord[d] * plan.sa[d];
         ib += coord[d] * plan.sb[d];
       }
-      for (std::int64_t flat = begin; flat < end; ++flat) {
-        po[flat] = f(pa[ia], pb[ib]);
-        for (std::size_t d = rank; d-- > 0;) {
-          ++coord[d];
-          ia += plan.sa[d];
-          ib += plan.sb[d];
-          if (coord[d] < plan.shape[d]) break;
-          ia -= coord[d] * plan.sa[d];
-          ib -= coord[d] * plan.sb[d];
+      for (std::int64_t flat = begin; flat < end;) {
+        const std::int64_t run = std::min(row - coord[last], end - flat);
+        for (std::int64_t j = 0; j < run; ++j) po[flat + j] = f(pa[ia + j * sa], pb[ib + j * sb]);
+        flat += run;
+        coord[last] += run;
+        ia += run * sa;
+        ib += run * sb;
+        for (std::size_t d = last; coord[d] == plan.shape[d] && d > 0; --d) {
+          ia += plan.sa[d - 1] - coord[d] * plan.sa[d];
+          ib += plan.sb[d - 1] - coord[d] * plan.sb[d];
           coord[d] = 0;
+          ++coord[d - 1];
         }
       }
     });
@@ -226,5 +232,16 @@ class Tensor {
   static std::int64_t shape_numel(const Shape& s);
   std::vector<std::int64_t> strides() const;
 };
+
+/// C[m,n] (row-major, leading dimension n) += op(A) op(B) on raw row-major
+/// operands (`lda`/`ldb` are the STORED matrices' row lengths, as in
+/// gemm_pack_b): op(B) is packed once and C's rows are split across the
+/// pool. Tensor::matmul is this call on a zeroed [m, n] output; callers whose
+/// operands are not rank-2 tensors (a [B, T, D] activation read as B*T rows)
+/// use it directly instead of reshaping a copy. Bitwise independent of the
+/// thread count, like Tensor::matmul.
+void matmul_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+                       const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+                       float* c);
 
 }  // namespace mlperf::tensor

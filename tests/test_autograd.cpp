@@ -85,6 +85,19 @@ TEST(AutogradCore, NoGradThroughNonRequiringLeaf) {
   EXPECT_FLOAT_EQ(b.grad().sum(), 0.0f);
 }
 
+// A gradient the caller hands over on first touch is adopted, not copied,
+// but still gets the `0.0f + g` of the copying path: -0.0 lands as +0.0.
+TEST(GradHandOff, FirstTouchRvalueNormalizesNegativeZero) {
+  const Tensor plus_zero({4});
+  Variable x(Tensor({4}, 1.0f), true);
+  x.node()->accumulate_grad(Tensor({4}, -0.0f));
+  EXPECT_EQ(0, std::memcmp(x.grad().data(), plus_zero.data(), 4 * sizeof(float)));
+  // The same through an op: mul_scalar's backward builds g * -1 = -0.0.
+  Variable y(Tensor({4}, 1.0f), true);
+  mul_scalar(y, -1.0f).backward(Tensor({4}));
+  EXPECT_EQ(0, std::memcmp(y.grad().data(), plus_zero.data(), 4 * sizeof(float)));
+}
+
 TEST(AutogradGradcheck, Add) {
   Rng rng(1);
   Tensor b = Tensor::randn({3, 4}, rng);

@@ -588,11 +588,11 @@ TEST(Resume, ProbabilisticFaultsStillConvergeIdentically) {
   EXPECT_EQ(final_weights_hash(*current), final_weights_hash(*baseline_w));
 }
 
-// Regression: a second-generation ResNet checkpoint (save -> restore -> train
-// -> save -> restore) used to record the rebuilt loader's session-local epoch
-// count against the cumulative trained-epoch count and reject its own file on
-// the second restore. Multi-restart runs must survive any number of
-// preemptions.
+// Checkpoints of checkpoints: a ResNet run preempted at least twice (save ->
+// restore -> train -> save -> restore) must restore its own second-generation
+// file and end bitwise where the uninterrupted run ends, curve and final
+// weights. Every epoch's loader is rebuilt from the restored rng, and the
+// "progress" section carries the LR schedule's step across each restart.
 TEST(Resume, ResnetSurvivesMultipleRestarts) {
   const core::SuiteVersion suite = core::suite_v05();
   const core::BenchmarkSpec& spec =
@@ -632,9 +632,12 @@ TEST(Resume, ResnetSurvivesMultipleRestarts) {
       << "multi-restart final weights differ bitwise from the uninterrupted run";
 }
 
-// The prefetching loader has a batch in flight on its own thread while a
-// step trains; a checkpoint drains it first. Kill-and-resume at 4 threads
-// must still reproduce the uninterrupted run bitwise.
+// The prefetching loader assembles the next batch on its own thread, drawing
+// each batch's augmentation from a child of the run rng. The loader lives
+// only within an epoch, so no batch is in flight at an epoch-boundary
+// checkpoint and the restored rng regenerates the same batches.
+// Kill-and-resume at 4 threads with prefetching on must reproduce the
+// uninterrupted run bitwise.
 TEST(Resume, PrefetchingResnetAtFourThreadsResumesIdentically) {
   const core::SuiteVersion suite = core::suite_v05();
   const core::BenchmarkSpec& spec =

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "autograd/variable.h"
+#include "checkpoint/state.h"
 #include "core/review.h"
 #include "harness/reference.h"
 #include "nn/functional.h"
@@ -315,6 +316,54 @@ INSTANTIATE_TEST_SUITE_P(
                       BenchmarkId::kObjectDetectionHeavy, BenchmarkId::kTranslationRecurrent,
                       BenchmarkId::kTranslationNonRecurrent, BenchmarkId::kRecommendation,
                       BenchmarkId::kReinforcementLearning));
+
+// Absolute pins: the smoke-scale seed-42 outcome of every reference workload
+// at one thread, recorded before the fused attention nodes and the gradient
+// hand-off went in. ThreadCountInvariance only compares two thread counts,
+// so a bit change common to both would pass it; this catches one. The curve
+// alone is not enough: both translation workloads stay at BLEU 0 for all 12
+// smoke epochs, so their outcome fingerprints are constant. The FNV-1a of
+// the trained weights (parameters() order, raw float bytes) pins every bit
+// of the training run instead.
+struct PinnedOutcome {
+  BenchmarkId id;
+  std::uint64_t outcome;
+  std::uint64_t weights;
+};
+
+void PrintTo(const PinnedOutcome& p, std::ostream* os) { *os << core::to_string(p.id); }
+
+class PinnedSmokeOutcome : public ::testing::TestWithParam<PinnedOutcome> {};
+
+TEST_P(PinnedSmokeOutcome, MatchesRecordedFingerprints) {
+  const auto suite = core::suite_v05();
+  const auto& spec = core::find_spec(suite, GetParam().id);
+  auto w = make_reference_workload(spec.id, WorkloadScale::kSmoke);
+  RunOptions opts;
+  opts.seed = 42;
+  opts.max_epochs = 12;
+  opts.num_threads = 1;
+  const RunOutcome out = run_to_target(*w, scaled_target(spec, WorkloadScale::kSmoke), opts);
+  std::uint64_t weights = checkpoint::kFnvOffset;
+  for (const auto& p : w->model()->parameters())
+    weights = checkpoint::fnv1a(p.value().data(),
+                                static_cast<std::size_t>(p.numel()) * sizeof(float), weights);
+  EXPECT_EQ(GetParam().outcome, outcome_fingerprint(out)) << spec.name;
+  EXPECT_EQ(GetParam().weights, weights) << spec.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSevenWorkloads, PinnedSmokeOutcome,
+    ::testing::Values(
+        PinnedOutcome{BenchmarkId::kImageClassification, 0xb069437870e1d760, 0xc2b678004a29e8ad},
+        PinnedOutcome{BenchmarkId::kObjectDetectionLight, 0x9e4dc4ebb1560a7b, 0x7282cf560f6f8bb7},
+        PinnedOutcome{BenchmarkId::kObjectDetectionHeavy, 0x0cfc91dcea9746f5, 0x79e63f8d82db5967},
+        PinnedOutcome{BenchmarkId::kTranslationRecurrent, 0x41dab631a9fd55bd, 0x4f38fa7a7a4896fb},
+        PinnedOutcome{BenchmarkId::kTranslationNonRecurrent, 0x41dab631a9fd55bd,
+                      0x80907e7ed7238694},
+        PinnedOutcome{BenchmarkId::kRecommendation, 0x7bc25fbef7805a32, 0x14d0f12980731df5},
+        PinnedOutcome{BenchmarkId::kReinforcementLearning, 0xf3a1fc583947a829,
+                      0xd8585a9cca302eea}));
 
 // The im2col pack cache is scoped to the step: a smoke-scale
 // image_classification run at 1 and at 4 threads performs im2col sweeps and

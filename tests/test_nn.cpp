@@ -669,6 +669,122 @@ TEST(Module, ZeroGradClearsAll) {
 }
 
 
+namespace attention_oracle {
+
+// The chain MultiHeadAttention ran before its projections became single
+// nodes, kept here as the bitwise oracle for them.
+Variable project_heads(const Linear& w, const Variable& x, std::int64_t heads) {
+  using namespace autograd;
+  const std::int64_t b = x.shape()[0], t = x.shape()[1], d = x.shape()[2], dh = d / heads;
+  Variable proj = w.forward(reshape(x, {b * t, d}));
+  Variable shaped = reshape(proj, {b, t, heads, dh});
+  return reshape(permute(shaped, {0, 2, 1, 3}), {b * heads, t, dh});
+}
+
+Variable forward(const MultiHeadAttention& m, const Variable& q_in, const Variable& kv,
+                 bool causal) {
+  using namespace autograd;
+  const std::int64_t b = q_in.shape()[0], tq = q_in.shape()[1], tk = kv.shape()[1];
+  const std::int64_t d = m.model_dim, dh = d / m.heads;
+  Variable q = project_heads(m.wq, q_in, m.heads);
+  Variable k = project_heads(m.wk, kv, m.heads);
+  Variable v = project_heads(m.wv, kv, m.heads);
+  Variable scores = bmm(q, k, tensor::Trans::N, tensor::Trans::T);
+  Tensor mask;
+  if (causal) {
+    mask = Tensor::uninitialized({tq, tk});
+    for (std::int64_t i = 0; i < tq; ++i)
+      for (std::int64_t j = 0; j < tk; ++j) mask[i * tk + j] = j > i ? -1e9f : 0.0f;
+  }
+  Variable attn = fused_scaled_softmax(scores, 1.0f / std::sqrt(static_cast<float>(dh)), mask);
+  Variable ctx = bmm(attn, v);
+  Variable merged =
+      reshape(permute(reshape(ctx, {b, m.heads, tq, dh}), {0, 2, 1, 3}), {b * tq, d});
+  return reshape(m.wo.forward(merged), {b, tq, d});
+}
+
+struct Case {
+  std::int64_t b, tq, tk, heads;
+  bool causal, cross;
+};
+
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "b" << c.b << "_tq" << c.tq << "_tk" << c.tk << "_h" << c.heads
+      << (c.cross ? "_cross" : "_self") << (c.causal ? "_causal" : "");
+}
+
+struct Result {
+  Tensor out;
+  std::vector<Tensor> grads;  ///< x, memory (cross only), then every parameter
+};
+
+// Two attention layers of one module in a residual chain, as a Transformer
+// block uses them: x feeds the residual add and (self-attention) all three
+// projections, so its gradient sums contributions whose order is checked.
+// Cross-attention reads one memory through four projections.
+template <typename Attend>
+Result run(const Case& c, Attend attend) {
+  constexpr std::int64_t kDim = 16;
+  Rng rng(71);
+  MultiHeadAttention mha(kDim, c.heads, rng);
+  Variable x(Tensor::randn({c.b, c.tq, kDim}, rng), true);
+  Variable memory(Tensor::randn({c.b, c.tk, kDim}, rng), true);
+  const Tensor seed = Tensor::randn({c.b, c.tq, kDim}, rng);
+  Variable h = autograd::add(x, attend(mha, x, c.cross ? memory : x, c.causal));
+  Variable out = autograd::add(h, attend(mha, h, c.cross ? memory : h, c.causal));
+  out.backward(seed);
+  Result r{out.value(), {x.grad()}};
+  if (c.cross) r.grads.push_back(memory.grad());
+  for (const auto& p : mha.parameters()) r.grads.push_back(p.grad());
+  return r;
+}
+
+}  // namespace attention_oracle
+
+class AttentionOracle : public ::testing::TestWithParam<attention_oracle::Case> {};
+
+// The fused projection nodes against the reshape/permute/Linear chain, 0 ULP:
+// forward output and the gradients of x, memory and every weight and bias.
+TEST_P(AttentionOracle, FusedNodesMatchUnfusedChainBitwise) {
+  using attention_oracle::Result;
+  const auto& c = GetParam();
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    const Result fused =
+        attention_oracle::run(c, [](const MultiHeadAttention& m, const Variable& q,
+                                    const Variable& kv, bool causal) {
+          return m.forward(q, kv, kv, causal);
+        });
+    const Result chain = attention_oracle::run(c, attention_oracle::forward);
+    ASSERT_EQ(fused.out.shape(), chain.out.shape());
+    EXPECT_EQ(0, std::memcmp(fused.out.data(), chain.out.data(),
+                             static_cast<std::size_t>(fused.out.numel()) * sizeof(float)))
+        << "forward, t=" << threads;
+    ASSERT_EQ(fused.grads.size(), chain.grads.size());
+    for (std::size_t i = 0; i < fused.grads.size(); ++i) {
+      ASSERT_EQ(fused.grads[i].shape(), chain.grads[i].shape()) << i;
+      EXPECT_EQ(0, std::memcmp(fused.grads[i].data(), chain.grads[i].data(),
+                               static_cast<std::size_t>(fused.grads[i].numel()) * sizeof(float)))
+          << "gradient " << i << ", t=" << threads;
+    }
+  }
+  parallel::set_num_threads(1);
+}
+
+std::vector<attention_oracle::Case> attention_cases() {
+  std::vector<attention_oracle::Case> cases;
+  for (std::int64_t h : {1, 2, 4}) {
+    cases.push_back({3, 5, 5, h, true, false});   // causal self-attention
+    cases.push_back({2, 3, 6, h, false, true});   // cross-attention, Tq != Tk
+    cases.push_back({2, 1, 1, h, true, false});   // T = 1
+    cases.push_back({1, 1, 4, h, false, true});   // B = 1, Tq = 1
+    cases.push_back({1, 4, 4, h, false, false});  // B = 1, non-causal
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, AttentionOracle, ::testing::ValuesIn(attention_cases()));
+
 // ---- fused_scaled_softmax ---------------------------------------------------
 
 namespace fused_softmax_detail {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+
+#include "parallel/parallel_for.h"
 
 namespace mlperf::tensor {
 namespace {
@@ -188,6 +192,64 @@ TEST(TensorBroadcast, ReduceToInvertsBroadcast) {
   for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(reduced[i], 2.0f);  // summed over rows
   Tensor col = a.reduce_to({2, 1});
   EXPECT_EQ(col.at({0, 0}), 3.0f);
+}
+
+// The per-element odometer binary() ran before its row loop: decompose
+// every output index with div/mod and apply f once.
+template <typename F>
+Tensor broadcast_oracle(const Tensor& a, const Tensor& b, F f) {
+  const Shape shape = Tensor::broadcast_shape(a.shape(), b.shape());
+  const std::size_t rank = shape.size();
+  Tensor out(shape);
+  auto index = [&](const Tensor& t, std::int64_t flat) {
+    std::int64_t idx = 0, stride = 1, rem = flat;
+    for (std::size_t i = 0; i < rank; ++i) {
+      const std::size_t d = rank - 1 - i;
+      const std::int64_t c = rem % shape[d];
+      rem /= shape[d];
+      if (i < t.shape().size()) {
+        const std::int64_t extent = t.shape()[t.shape().size() - 1 - i];
+        if (extent != 1) idx += c * stride;
+        stride *= extent;
+      }
+    }
+    return idx;
+  };
+  for (std::int64_t flat = 0; flat < out.numel(); ++flat)
+    out[flat] = f(a[index(a, flat)], b[index(b, flat)]);
+  return out;
+}
+
+// binary()'s broadcast path walks the output by innermost rows; pin it to
+// the per-element oracle with non-commutative functors, both operand orders,
+// at 1 and 4 threads. The shapes exceed Tensor::kElemGrain, so the 4-thread
+// parts start mid-row.
+TEST(BroadcastRows, MatchPerElementOracleBitwise) {
+  Rng rng(5);
+  const std::vector<std::pair<Shape, Shape>> shapes = {
+      {{300, 157}, {157}},          {{7, 33, 151}, {33, 151}}, {{300, 1}, {300, 157}},
+      {{157}, {300, 157}},          {{1}, {300, 157}}};
+  const auto minus = [](float x, float y) { return x - y; };
+  const auto divide = [](float x, float y) { return x / y; };
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (const auto& [sa, sb] : shapes) {
+      const Tensor a = Tensor::randn(sa, rng), b = Tensor::randn(sb, rng);
+      for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+        for (int op = 0; op < 2; ++op) {
+          const Tensor got = op == 0 ? x->binary(*y, minus) : x->binary(*y, divide);
+          const Tensor want =
+              op == 0 ? broadcast_oracle(*x, *y, minus) : broadcast_oracle(*x, *y, divide);
+          ASSERT_EQ(got.shape(), want.shape());
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   static_cast<std::size_t>(got.numel()) * sizeof(float)))
+              << (op == 0 ? "a - b " : "a / b ") << x->to_string(0) << " with "
+              << y->to_string(0) << ", t=" << threads;
+        }
+      }
+    }
+  }
+  parallel::set_num_threads(1);
 }
 
 TEST(TensorReductions, SumMeanMaxMin) {
