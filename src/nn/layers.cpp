@@ -181,9 +181,9 @@ Variable LayerNorm::forward(const Variable& x) const {
   if (gamma.numel() != d) throw std::invalid_argument("LayerNorm: dim mismatch");
   const std::int64_t rows = xv.numel() / d;
 
-  auto xhat = std::make_shared<Tensor>(xv.shape());
+  auto xhat = std::make_shared<Tensor>(Tensor::uninitialized(xv.shape()));
   auto inv_std = std::make_shared<std::vector<float>>(static_cast<std::size_t>(rows));
-  Tensor out(xv.shape());
+  Tensor out = Tensor::uninitialized(xv.shape());
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* src = xv.data() + r * d;
     double s = 0.0;
@@ -221,7 +221,7 @@ Variable LayerNorm::forward(const Variable& x) const {
         if (gn->requires_grad) gn->accumulate_grad(std::move(dgamma));
         if (bn->requires_grad) bn->accumulate_grad(std::move(dbeta));
         if (!xn->requires_grad) return;
-        Tensor dx(xn->value.shape());
+        Tensor dx = Tensor::uninitialized(xn->value.shape());
         const float inv_d = 1.0f / static_cast<float>(d);
         for (std::int64_t r = 0; r < rows; ++r) {
           const float* gp = g.data() + r * d;

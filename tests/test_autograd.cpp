@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 #include "checkpoint/state.h"
@@ -274,6 +277,73 @@ TEST(AddRelu, GradcheckAwayFromKink) {
   const Tensor other = Tensor::randn({3, 5}, rng, 2.0f, 0.25f);  // keep s > 0
   gradcheck([&](const Variable& v) { return add_relu(v, Variable(other)); },
             Tensor::rand({3, 5}, rng, 0.5f, 1.5f));
+}
+
+// The relu masks are selects, not arithmetic: x > 0 ? x : +0.0. Vectorized,
+// they become a compare and an and-mask, which must keep exactly the scalar
+// select's bits on the values where the two could part ways: NaN of either
+// sign, signed zeros, infinities and denormals. Each row is an input pair a,
+// b with the literal bits of relu(a) and of add_relu(a, b) = relu(a + b), and
+// whether each backward passes the incoming gradient or writes +0.0.
+struct SelectCase {
+  std::uint32_t a, b, relu, add_relu;
+  bool relu_passes, add_relu_passes;
+};
+constexpr SelectCase kSelectCases[] = {
+    {0x7fc00000, 0x00000000, 0x00000000, 0x00000000, false, false},  // NaN + 0
+    {0x80000000, 0x80000000, 0x00000000, 0x00000000, false, false},  // -0 + -0
+    {0x00000000, 0x00000000, 0x00000000, 0x00000000, false, false},  // +0 + +0
+    {0x7f800000, 0x3f800000, 0x7f800000, 0x7f800000, true, true},    // +inf + 1
+    {0xff800000, 0x3f800000, 0x00000000, 0x00000000, false, false},  // -inf + 1
+    {0x00000001, 0x00000000, 0x00000001, 0x00000001, true, true},    // denormal + 0
+    {0x80000001, 0x00000000, 0x00000000, 0x00000000, false, false},  // -denormal + 0
+    {0x3fc00000, 0x3e800000, 0x3fc00000, 0x3fe00000, true, true},    // 1.5 + 0.25
+    {0xc0000000, 0x3f000000, 0x00000000, 0x00000000, false, false},  // -2 + 0.5
+    {0x7f800000, 0xff800000, 0x7f800000, 0x00000000, true, false},   // +inf + -inf = NaN
+    {0x40400000, 0xc0400000, 0x40400000, 0x00000000, true, false},   // 3 + -3 = +0
+    {0xffc00000, 0x3f800000, 0x00000000, 0x00000000, false, false},  // -NaN + 1
+};
+constexpr std::int64_t kNumSelectCases = std::size(kSelectCases);
+
+std::uint32_t bits_at(const Tensor& t, std::int64_t i) {
+  std::uint32_t u;
+  std::memcpy(&u, t.data() + i, sizeof(u));
+  return u;
+}
+
+TEST(ReluSelect, SpecialValuesKeepScalarSelectBits) {
+  // Lengths cover the vector body alone, the remainder loop alone, both, and
+  // a pool split at kElemGrain that leaves a short tail on the last part.
+  const std::int64_t lengths[] = {1, 3, 4, 5, 17, Tensor::kElemGrain + 3};
+  for (const int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (const std::int64_t n : lengths) {
+      Tensor a({n}), b({n}), g({n});
+      for (std::int64_t i = 0; i < n; ++i) {
+        const SelectCase& c = kSelectCases[i % kNumSelectCases];
+        a[i] = std::bit_cast<float>(c.a);
+        b[i] = std::bit_cast<float>(c.b);
+        g[i] = (i % 2 ? -0.5f : 0.5f) - static_cast<float>(i % 13);  // ordinary, nonzero
+      }
+      Variable x(a, true);
+      Variable y = relu(x);
+      y.backward(g);
+      Variable xa(a, true), xb(b, true);
+      Variable z = add_relu(xa, xb);
+      z.backward(g);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const SelectCase& c = kSelectCases[i % kNumSelectCases];
+        const std::uint32_t gi = bits_at(g, i);
+        SCOPED_TRACE(::testing::Message() << "threads " << threads << " n " << n << " i " << i);
+        ASSERT_EQ(c.relu, bits_at(y.value(), i));
+        ASSERT_EQ(c.relu_passes ? gi : 0u, bits_at(x.grad(), i));
+        ASSERT_EQ(c.add_relu, bits_at(z.value(), i));
+        ASSERT_EQ(c.add_relu_passes ? gi : 0u, bits_at(xa.grad(), i));
+        ASSERT_EQ(c.add_relu_passes ? gi : 0u, bits_at(xb.grad(), i));
+      }
+    }
+  }
+  parallel::set_num_threads(1);
 }
 
 

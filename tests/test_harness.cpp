@@ -289,14 +289,27 @@ INSTANTIATE_TEST_SUITE_P(FastWorkloads, SmokeEndToEnd,
                          ::testing::Values(BenchmarkId::kRecommendation,
                                            BenchmarkId::kObjectDetectionLight));
 
+/// FNV-1a of a workload's trained weights: parameters() order, raw float bytes.
+std::uint64_t weights_fingerprint(const models::Workload& w) {
+  std::uint64_t h = checkpoint::kFnvOffset;
+  for (const auto& p : w.model()->parameters())
+    h = checkpoint::fnv1a(p.value().data(), static_cast<std::size_t>(p.numel()) * sizeof(float),
+                          h);
+  return h;
+}
+
 // Every reference workload trains bitwise-identically at 1 and 4 intra-op
-// threads, end to end through the harness: same epochs, same quality bits.
+// threads, end to end through the harness: same epochs, same quality bits and
+// same trained weights. The weights matter because both translation workloads
+// stay at BLEU 0 for all 12 smoke epochs, so their outcome fingerprints are
+// constant; and they are where a vectorized loop run on differently aligned
+// parallel_for subranges would show a bit difference.
 class ThreadCountInvariance : public ::testing::TestWithParam<BenchmarkId> {};
 
 TEST_P(ThreadCountInvariance, SmokeOutcomeFingerprintMatches) {
   const auto suite = core::suite_v05();
   const auto& spec = core::find_spec(suite, GetParam());
-  std::uint64_t prints[2];
+  std::uint64_t prints[2], weights[2];
   const std::int64_t threads[2] = {4, 1};  // end at 1: later tests inherit it
   for (int i = 0; i < 2; ++i) {
     auto w = make_reference_workload(spec.id, WorkloadScale::kSmoke);
@@ -306,8 +319,10 @@ TEST_P(ThreadCountInvariance, SmokeOutcomeFingerprintMatches) {
     opts.num_threads = threads[i];
     prints[i] =
         outcome_fingerprint(run_to_target(*w, scaled_target(spec, WorkloadScale::kSmoke), opts));
+    weights[i] = weights_fingerprint(*w);
   }
   EXPECT_EQ(prints[0], prints[1]) << spec.name;
+  EXPECT_EQ(weights[0], weights[1]) << spec.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -323,8 +338,7 @@ INSTANTIATE_TEST_SUITE_P(
 // so a bit change common to both would pass it; this catches one. The curve
 // alone is not enough: both translation workloads stay at BLEU 0 for all 12
 // smoke epochs, so their outcome fingerprints are constant. The FNV-1a of
-// the trained weights (parameters() order, raw float bytes) pins every bit
-// of the training run instead.
+// the trained weights pins every bit of the training run instead.
 struct PinnedOutcome {
   BenchmarkId id;
   std::uint64_t outcome;
@@ -344,12 +358,8 @@ TEST_P(PinnedSmokeOutcome, MatchesRecordedFingerprints) {
   opts.max_epochs = 12;
   opts.num_threads = 1;
   const RunOutcome out = run_to_target(*w, scaled_target(spec, WorkloadScale::kSmoke), opts);
-  std::uint64_t weights = checkpoint::kFnvOffset;
-  for (const auto& p : w->model()->parameters())
-    weights = checkpoint::fnv1a(p.value().data(),
-                                static_cast<std::size_t>(p.numel()) * sizeof(float), weights);
   EXPECT_EQ(GetParam().outcome, outcome_fingerprint(out)) << spec.name;
-  EXPECT_EQ(GetParam().weights, weights) << spec.name;
+  EXPECT_EQ(GetParam().weights, weights_fingerprint(*w)) << spec.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
