@@ -19,6 +19,7 @@
 #include "checkpoint/state.h"
 #include "go/board.h"
 #include "harness/reference.h"
+#include "models/gnmt.h"
 #include "models/ncf.h"
 #include "models/resnet.h"
 #include "models/transformer.h"
@@ -378,7 +379,7 @@ BENCHMARK(BM_LstmCell);
 // --- End-to-end train steps (BENCH_trainstep.json regenerates from these) ---
 // One complete training step per iteration — forward, loss, zero_grad,
 // backward, optimizer update, through the models::train_step the workloads
-// run — for three of the suite's reference models.
+// run — for four of the suite's reference models.
 // These are the numbers the tensor-pool / fused-update work moves: the
 // kernels themselves were PR 1/2; what remains per step is the allocation
 // and bookkeeping around them.
@@ -453,6 +454,38 @@ static void BM_TrainStepTransformer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainStepTransformer);
+
+// The recurrent translation model at its workload's batch, lr and clip: eight
+// LSTM gate matmuls per cell step, so the step is dominated by small autograd
+// nodes rather than by GEMM time.
+static void BM_TrainStepGnmt(benchmark::State& state) {
+  tensor::Rng init_rng(10);
+  models::GnmtModel::Config cfg;  // defaults: hidden 32, 2+2 LSTM layers
+  models::GnmtModel model(cfg, init_rng);
+  optim::Adam opt(model.parameters());
+  const std::int64_t batch = 16, seq = 8;
+  std::vector<data::TokenSeq> src, tgt_in;
+  std::vector<std::int64_t> targets;
+  for (std::int64_t b = 0; b < batch; ++b) {
+    data::TokenSeq s, t{data::kBos};
+    for (std::int64_t i = 0; i < seq; ++i) {
+      s.push_back(data::kFirstWord + (b * 3 + i) % (cfg.vocab - data::kFirstWord));
+      const std::int64_t tok = data::kFirstWord + (b * 5 + i) % (cfg.vocab - data::kFirstWord);
+      t.push_back(tok);
+      targets.push_back(tok);
+    }
+    targets.push_back(data::kEos);
+    src.push_back(std::move(s));
+    tgt_in.push_back(std::move(t));
+  }
+  for (auto _ : state) {
+    auto loss = models::train_step(opt, {.lr = 2e-3f, .clip_norm = 5.0f}, [&] {
+      return nn::cross_entropy(model.forward_teacher(src, tgt_in), targets);
+    });
+    benchmark::DoNotOptimize(loss.value().data());
+  }
+}
+BENCHMARK(BM_TrainStepGnmt);
 
 // --- Checkpoint subsystem (BENCH_checkpoint.json regenerates from these) ---
 // Checkpoint writes land INSIDE the timed §3.2.1 run window, so their cost is
