@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "parallel/parallel_for.h"
 #include "tensor/pool.h"
@@ -13,8 +12,6 @@ namespace mlperf::autograd {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-namespace detail {
 
 void Node::accumulate_grad(const Tensor& g) {
   // Elementwise, so split across the pool: every element sees the same
@@ -68,8 +65,6 @@ void Node::accumulate_grad(Tensor&& g) {
   grad_initialized = true;
 }
 
-}  // namespace detail
-
 namespace {
 thread_local bool t_grad_enabled = true;
 }  // namespace
@@ -79,20 +74,6 @@ NoGradGuard::NoGradGuard() : prev_(t_grad_enabled) { t_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { t_grad_enabled = prev_; }
 
 bool grad_enabled() { return t_grad_enabled; }
-
-Variable Variable::from_op(Tensor value, std::vector<Variable> parents, BackwardFn backward_fn) {
-  Variable out(std::move(value));
-  if (!t_grad_enabled) return out;  // tape-free: parents and closure dropped here
-  bool rg = false;
-  out.node_->parents.reserve(parents.size());
-  for (const auto& p : parents) {
-    rg = rg || p.requires_grad();
-    out.node_->parents.push_back(p.node());
-  }
-  out.node_->requires_grad = rg;
-  if (rg) out.node_->backward_fn = std::move(backward_fn);
-  return out;
-}
 
 const Tensor& Variable::grad() const {
   if (!node_->grad_initialized) {
@@ -121,18 +102,22 @@ void Variable::backward() const {
 void Variable::backward(const Tensor& seed) const {
   if (seed.shape() != shape())
     throw std::invalid_argument("backward(): seed shape does not match output shape");
-  // Topological order via iterative post-order DFS over parents.
-  std::vector<detail::Node*> order;
-  std::unordered_set<detail::Node*> visited;
-  std::vector<std::pair<detail::Node*, std::size_t>> stack;
+  // Topological order via iterative post-order DFS over parents. Only taped
+  // nodes are walked: a leaf has nothing to propagate and is never severed.
+  // Each sweep draws a fresh stamp, so a node is visited once per sweep
+  // without a visited set.
+  static std::atomic<std::uint64_t> sweeps{0};
+  const std::uint64_t stamp = ++sweeps;
+  std::vector<Node*> order;
+  std::vector<std::pair<Node*, std::size_t>> stack;
   stack.emplace_back(node_.get(), 0);
-  visited.insert(node_.get());
+  node_->visit = stamp;
   while (!stack.empty()) {
     auto& [n, next] = stack.back();
     if (next < n->parents.size()) {
-      detail::Node* p = n->parents[next++].get();
-      if (p->requires_grad && !visited.count(p)) {
-        visited.insert(p);
+      Node* p = n->parents[next++].get();
+      if (p->requires_grad && !p->parents.empty() && p->visit != stamp) {
+        p->visit = stamp;
         stack.emplace_back(p, 0);
       }
     } else {
@@ -142,28 +127,20 @@ void Variable::backward(const Tensor& seed) const {
   }
   node_->accumulate_grad(seed);
   // Reverse topological order: node appears after all its parents in `order`.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    detail::Node* n = *it;
-    if (n->backward_fn && n->grad_initialized) n->backward_fn(n->grad);
-  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it)
+    if ((*it)->grad_initialized) (*it)->propagate();
   // The step's graph is spent: sever it now so interior buffers return to
   // the TensorPool at backward completion instead of at the last Variable
   // handle's death. Interior nodes drop their gradient, their backward
-  // closure (releasing captured activations), and their parent links —
-  // which cascade-destroys nodes no caller holds, returning their values
-  // too. Leaves keep their gradient for the optimizer, and any node the
-  // caller still holds keeps its value. Walking `order` forward (parents
-  // before children) keeps every raw pointer alive until its own entry:
-  // clearing n's parent links can only destroy nodes appearing earlier, or
-  // non-requires-grad ancestors that were never in `order` (a node with a
-  // requires-grad parent would itself require grad).
-  for (detail::Node* n : order) {
-    if (n->parents.empty()) continue;  // leaf: the optimizer reads its grad
-    n->grad = Tensor();
-    n->grad_initialized = false;
-    n->backward_fn = nullptr;
-    n->parents.clear();
-  }
+  // closure (releasing what it saved), and their parent links — which
+  // cascade-destroys nodes no caller holds, returning their values too.
+  // Leaves keep their gradient for the optimizer, and any node the caller
+  // still holds keeps its value. Walking `order` forward (parents before
+  // children) keeps every raw pointer alive until its own entry: severing n
+  // can only destroy nodes appearing earlier, or leaves, which were never in
+  // `order`.
+  for (Node* n : order)
+    if (!n->parents.empty()) n->sever();  // a leaf root keeps its grad
 }
 
 namespace {
@@ -192,36 +169,34 @@ std::int64_t GraphEpoch::last_pool_hits() {
 }
 
 // ---- op helpers ------------------------------------------------------------
+// Each closure reads parent i as `*n.parents[i]` and the op's output as
+// `n.value`.
 
 // The identity gradient goes to each parent by reference: no copy per parent.
 Variable add(const Variable& a, const Variable& b) {
-  auto an = a.node();
-  auto bn = b.node();
-  return Variable::from_op(a.value().add(b.value()), {a, b}, [an, bn](const Tensor& g) {
-    if (an->requires_grad) an->accumulate_grad(g);
-    if (bn->requires_grad) bn->accumulate_grad(g);
+  return Variable::from_op(a.value().add(b.value()), {a, b}, [](const Node& n, const Tensor& g) {
+    for (const auto& p : n.parents)
+      if (p->requires_grad) p->accumulate_grad(g);
   });
 }
 
 Variable mul(const Variable& a, const Variable& b) {
-  auto an = a.node();
-  auto bn = b.node();
-  return Variable::from_op(a.value().mul(b.value()), {a, b}, [an, bn](const Tensor& g) {
-    if (an->requires_grad) an->accumulate_grad(g.mul(bn->value));
-    if (bn->requires_grad) bn->accumulate_grad(g.mul(an->value));
+  return Variable::from_op(a.value().mul(b.value()), {a, b}, [](const Node& n, const Tensor& g) {
+    Node &an = *n.parents[0], &bn = *n.parents[1];
+    if (an.requires_grad) an.accumulate_grad(g.mul(bn.value));
+    if (bn.requires_grad) bn.accumulate_grad(g.mul(an.value));
   });
 }
 
 Variable add_scalar(const Variable& a, float s) {
-  auto an = a.node();
-  return Variable::from_op(a.value().add_scalar(s), {a},
-                           [an](const Tensor& g) { an->accumulate_grad(g); });
+  return Variable::from_op(a.value().add_scalar(s), {a}, [](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(g);
+  });
 }
 
 Variable mul_scalar(const Variable& a, float s) {
-  auto an = a.node();
-  return Variable::from_op(a.value().mul_scalar(s), {a}, [an, s](const Tensor& g) {
-    an->accumulate_grad(g.mul_scalar(s));
+  return Variable::from_op(a.value().mul_scalar(s), {a}, [s](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(g.mul_scalar(s));
   });
 }
 
@@ -236,41 +211,34 @@ tensor::Trans flip(tensor::Trans t) {
 // No operand is ever copy-transposed — the GEMM pack step absorbs the flags.
 Variable matmul(const Variable& a, const Variable& b, tensor::Trans ta, tensor::Trans tb) {
   Tensor out = a.value().matmul(b.value(), ta, tb);
-  auto an = a.node();
-  auto bn = b.node();
-  return Variable::from_op(std::move(out), {a, b}, [an, bn, ta, tb](const Tensor& g) {
-    if (an->requires_grad)
-      an->accumulate_grad(ta == tensor::Trans::N
-                              ? g.matmul(bn->value, tensor::Trans::N, flip(tb))
-                              : bn->value.matmul(g, tb, tensor::Trans::T));
-    if (bn->requires_grad)
-      bn->accumulate_grad(tb == tensor::Trans::N
-                              ? an->value.matmul(g, flip(ta), tensor::Trans::N)
-                              : g.matmul(an->value, tensor::Trans::T, ta));
+  return Variable::from_op(std::move(out), {a, b}, [ta, tb](const Node& n, const Tensor& g) {
+    Node &an = *n.parents[0], &bn = *n.parents[1];
+    if (an.requires_grad)
+      an.accumulate_grad(ta == tensor::Trans::N ? g.matmul(bn.value, tensor::Trans::N, flip(tb))
+                                                : bn.value.matmul(g, tb, tensor::Trans::T));
+    if (bn.requires_grad)
+      bn.accumulate_grad(tb == tensor::Trans::N ? an.value.matmul(g, flip(ta), tensor::Trans::N)
+                                                : g.matmul(an.value, tensor::Trans::T, ta));
   });
 }
 
 Variable bmm(const Variable& a, const Variable& b, tensor::Trans ta, tensor::Trans tb) {
   Tensor out = a.value().bmm(b.value(), ta, tb);
-  auto an = a.node();
-  auto bn = b.node();
-  return Variable::from_op(std::move(out), {a, b}, [an, bn, ta, tb](const Tensor& g) {
-    if (an->requires_grad)
-      an->accumulate_grad(ta == tensor::Trans::N
-                              ? g.bmm(bn->value, tensor::Trans::N, flip(tb))
-                              : bn->value.bmm(g, tb, tensor::Trans::T));
-    if (bn->requires_grad)
-      bn->accumulate_grad(tb == tensor::Trans::N
-                              ? an->value.bmm(g, flip(ta), tensor::Trans::N)
-                              : g.bmm(an->value, tensor::Trans::T, ta));
+  return Variable::from_op(std::move(out), {a, b}, [ta, tb](const Node& n, const Tensor& g) {
+    Node &an = *n.parents[0], &bn = *n.parents[1];
+    if (an.requires_grad)
+      an.accumulate_grad(ta == tensor::Trans::N ? g.bmm(bn.value, tensor::Trans::N, flip(tb))
+                                                : bn.value.bmm(g, tb, tensor::Trans::T));
+    if (bn.requires_grad)
+      bn.accumulate_grad(tb == tensor::Trans::N ? an.value.bmm(g, flip(ta), tensor::Trans::N)
+                                                : g.bmm(an.value, tensor::Trans::T, ta));
   });
 }
 
 Variable relu(const Variable& a) {
-  auto an = a.node();
-  return Variable::from_op(a.value().relu(), {a}, [an](const Tensor& g) {
-    an->accumulate_grad(
-        g.binary(an->value, [](float gv, float x) { return x > 0.0f ? gv : 0.0f; }));
+  return Variable::from_op(a.value().relu(), {a}, [](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(g.binary(n.parents[0]->value,
+                                           [](float gv, float x) { return x > 0.0f ? gv : 0.0f; }));
   });
 }
 
@@ -282,42 +250,38 @@ Variable add_relu(const Variable& a, const Variable& b) {
     const float s = x + bv;
     return s > 0.0f ? s : 0.0f;
   });
-  auto an = a.node();
-  auto bn = b.node();
-  return Variable::from_op(y, {a, b}, [an, bn, y](const Tensor& g) {
+  return Variable::from_op(std::move(y), {a, b}, [](const Node& n, const Tensor& g) {
     // y > 0 iff the pre-activation sum > 0 (y equals the sum where positive,
     // 0 elsewhere; NaN compares false in both), so masking on the output is
     // the unfused relu-backward mask — and the one masked tensor feeds both
     // parents exactly as the unfused add node would pass it through. b reads
     // it by reference and a adopts it: a bias b reduces it anyway. Distinct
     // parents make the order irrelevant, and a == b sums the same m twice.
-    Tensor masked = g.binary(y, [](float gv, float yv) { return yv > 0.0f ? gv : 0.0f; });
-    if (bn->requires_grad) bn->accumulate_grad(masked);
-    if (an->requires_grad) an->accumulate_grad(std::move(masked));
+    Tensor masked = g.binary(n.value, [](float gv, float yv) { return yv > 0.0f ? gv : 0.0f; });
+    Node &an = *n.parents[0], &bn = *n.parents[1];
+    if (bn.requires_grad) bn.accumulate_grad(masked);
+    if (an.requires_grad) an.accumulate_grad(std::move(masked));
   });
 }
 
 Variable tanh_op(const Variable& a) {
-  Tensor y = a.value().tanh();
-  auto an = a.node();
-  return Variable::from_op(y, {a}, [an, y](const Tensor& g) {
-    an->accumulate_grad(g.binary(y, [](float gv, float yv) { return gv * (1.0f - yv * yv); }));
+  return Variable::from_op(a.value().tanh(), {a}, [](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(
+        g.binary(n.value, [](float gv, float yv) { return gv * (1.0f - yv * yv); }));
   });
 }
 
 Variable sigmoid(const Variable& a) {
-  Tensor y = a.value().sigmoid();
-  auto an = a.node();
-  return Variable::from_op(y, {a}, [an, y](const Tensor& g) {
-    an->accumulate_grad(g.binary(y, [](float gv, float yv) { return gv * yv * (1.0f - yv); }));
+  return Variable::from_op(a.value().sigmoid(), {a}, [](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(
+        g.binary(n.value, [](float gv, float yv) { return gv * yv * (1.0f - yv); }));
   });
 }
 
 Variable reshape(const Variable& a, Shape shape) {
   Tensor out = a.value().reshape(std::move(shape));
-  auto an = a.node();
-  return Variable::from_op(std::move(out), {a}, [an](const Tensor& g) {
-    an->accumulate_grad(g.reshape(an->value.shape()));
+  return Variable::from_op(std::move(out), {a}, [](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(g.reshape(n.parents[0]->value.shape()));
   });
 }
 
@@ -326,20 +290,18 @@ Variable permute(const Variable& a, const std::vector<std::int64_t>& dims) {
   std::vector<std::int64_t> inverse(dims.size());
   for (std::size_t i = 0; i < dims.size(); ++i)
     inverse[static_cast<std::size_t>(dims[i])] = static_cast<std::int64_t>(i);
-  auto an = a.node();
-  return Variable::from_op(std::move(out), {a}, [an, inverse](const Tensor& g) {
-    an->accumulate_grad(g.permute(inverse));
+  return Variable::from_op(std::move(out), {a}, [inverse](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(g.permute(inverse));
   });
 }
 
 Variable slice0(const Variable& a, std::int64_t begin, std::int64_t end) {
   Tensor out = a.value().slice0(begin, end);
-  auto an = a.node();
-  return Variable::from_op(std::move(out), {a}, [an, begin](const Tensor& g) {
-    Tensor full(an->value.shape());
+  return Variable::from_op(std::move(out), {a}, [begin](const Node& n, const Tensor& g) {
+    Tensor full(n.parents[0]->value.shape());
     const std::int64_t row = full.numel() / std::max<std::int64_t>(full.shape()[0], 1);
     std::copy(g.vec().begin(), g.vec().end(), full.vec().begin() + begin * row);
-    an->accumulate_grad(std::move(full));
+    n.parents[0]->accumulate_grad(std::move(full));
   });
 }
 
@@ -347,15 +309,11 @@ Variable cat0(const std::vector<Variable>& parts) {
   std::vector<Tensor> vals;
   vals.reserve(parts.size());
   for (const auto& p : parts) vals.push_back(p.value());
-  Tensor out = Tensor::cat0(vals);
-  std::vector<std::shared_ptr<detail::Node>> nodes;
-  nodes.reserve(parts.size());
-  for (const auto& p : parts) nodes.push_back(p.node());
-  return Variable::from_op(std::move(out), parts, [nodes](const Tensor& g) {
+  return Variable::from_op(Tensor::cat0(vals), parts, [](const Node& n, const Tensor& g) {
     std::int64_t begin = 0;
-    for (const auto& n : nodes) {
-      const std::int64_t rows = n->value.shape()[0];
-      if (n->requires_grad) n->accumulate_grad(g.slice0(begin, begin + rows));
+    for (const auto& p : n.parents) {
+      const std::int64_t rows = p->value.shape()[0];
+      if (p->requires_grad) p->accumulate_grad(g.slice0(begin, begin + rows));
       begin += rows;
     }
   });
@@ -363,17 +321,15 @@ Variable cat0(const std::vector<Variable>& parts) {
 
 Variable sum_all(const Variable& a) {
   Tensor out = Tensor::scalar(a.value().sum());
-  auto an = a.node();
-  return Variable::from_op(std::move(out), {a}, [an](const Tensor& g) {
-    an->accumulate_grad(Tensor(an->value.shape(), g[0]));
+  return Variable::from_op(std::move(out), {a}, [](const Node& n, const Tensor& g) {
+    n.parents[0]->accumulate_grad(Tensor(n.parents[0]->value.shape(), g[0]));
   });
 }
 
 Variable softmax_last(const Variable& a) {
-  Tensor y = a.value().softmax_last();
-  auto an = a.node();
-  return Variable::from_op(y, {a}, [an, y](const Tensor& g) {
+  return Variable::from_op(a.value().softmax_last(), {a}, [](const Node& n, const Tensor& g) {
     // dL/dx = y * (g - sum(g*y, last))
+    const Tensor& y = n.value;
     const std::int64_t last = y.shape().back();
     const std::int64_t rows = y.numel() / last;
     Tensor dx = Tensor::uninitialized(y.shape());  // every row written below
@@ -390,15 +346,14 @@ Variable softmax_last(const Variable& a) {
               dr[j] = yr[j] * (gr[j] - static_cast<float>(dot));
           }
         });
-    an->accumulate_grad(std::move(dx));
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
 Variable log_softmax_last(const Variable& a) {
-  Tensor y = a.value().log_softmax_last();
-  auto an = a.node();
-  return Variable::from_op(y, {a}, [an, y](const Tensor& g) {
+  return Variable::from_op(a.value().log_softmax_last(), {a}, [](const Node& n, const Tensor& g) {
     // dL/dx = g - softmax(x) * sum(g, last)
+    const Tensor& y = n.value;
     const std::int64_t last = y.shape().back();
     const std::int64_t rows = y.numel() / last;
     Tensor dx = Tensor::uninitialized(y.shape());  // every row written below
@@ -415,7 +370,7 @@ Variable log_softmax_last(const Variable& a) {
               dr[j] = gr[j] - std::exp(yr[j]) * static_cast<float>(gsum);
           }
         });
-    an->accumulate_grad(std::move(dx));
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -432,16 +387,15 @@ Variable embedding(const Variable& table, const std::vector<std::int64_t>& indic
     std::copy(tv.data() + row * dim, tv.data() + (row + 1) * dim,
               out.data() + static_cast<std::int64_t>(i) * dim);
   }
-  auto tn = table.node();
-  return Variable::from_op(std::move(out), {table}, [tn, indices, dim](const Tensor& g) {
-    Tensor dt(tn->value.shape());
+  return Variable::from_op(std::move(out), {table}, [indices, dim](const Node& n, const Tensor& g) {
+    Tensor dt(n.parents[0]->value.shape());
     for (std::size_t i = 0; i < indices.size(); ++i) {
       const std::int64_t row = indices[i];
       const float* src = g.data() + static_cast<std::int64_t>(i) * dim;
       float* dst = dt.data() + row * dim;
       for (std::int64_t d = 0; d < dim; ++d) dst[d] += src[d];
     }
-    tn->accumulate_grad(std::move(dt));
+    n.parents[0]->accumulate_grad(std::move(dt));
   });
 }
 

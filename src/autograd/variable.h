@@ -1,27 +1,44 @@
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace mlperf::autograd {
 
-class Variable;
+/// False while a NoGradGuard is open on the calling thread.
+bool grad_enabled();
 
-/// Backward closure: receives the gradient flowing into this node's output
-/// and must accumulate gradients into its parents (captured by the closure).
-using BackwardFn = std::function<void(const tensor::Tensor& out_grad)>;
-
-namespace detail {
+/// One entry of the autograd tape. Leaves (parameters, inputs, and every op
+/// output recorded without a tape) are plain Nodes; a taped op's output is a
+/// `detail::OpNode`, which adds the op's backward closure in the same
+/// allocation.
 struct Node {
   tensor::Tensor value;
   tensor::Tensor grad;          // lazily sized on first accumulation
   bool requires_grad = false;
   bool grad_initialized = false;
-  std::vector<std::shared_ptr<Node>> parents;
-  BackwardFn backward_fn;       // empty for leaves
+  std::vector<std::shared_ptr<Node>> parents;  // empty for leaves
+  std::uint64_t visit = 0;      // the last backward sweep that reached this node
+
+  Node() = default;
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+  virtual ~Node() = default;
+  /// Runs the op's backward closure on `grad`; nothing for a leaf or for a
+  /// node a finished sweep has severed.
+  virtual void propagate() {}
+  /// Once a sweep is spent: drops the gradient, the closure with everything
+  /// it saved for backward, and the parent links.
+  virtual void sever() {
+    grad = tensor::Tensor();
+    grad_initialized = false;
+    parents.clear();
+  }
 
   /// grad += g, reducing a broadcast `g` to the value's shape first. The
   /// first touch of a same-shape `g` writes `0.0f + g` (the float add the
@@ -33,30 +50,64 @@ struct Node {
   /// place instead of copying it (same bits, no second buffer).
   void accumulate_grad(tensor::Tensor&& g);
 };
+
+namespace detail {
+/// A taped op's node. The closure `fn(node, grad)` is typed, not erased, and
+/// is called with its own node: it reads its inputs from `parents` and its
+/// output from `value`, so it saves neither.
+template <class F>
+struct OpNode final : Node {
+  explicit OpNode(F f) : fn(std::move(f)) {}
+  void propagate() override {
+    if (fn) (*fn)(*this, grad);
+  }
+  void sever() override {
+    fn.reset();
+    Node::sever();
+  }
+  std::optional<F> fn;
+};
 }  // namespace detail
 
-/// A node in the autograd tape: a tensor value plus (optionally) a gradient
-/// and the closure that propagates it. Variables are cheap shared handles —
-/// copying a Variable aliases the same node, which is what layer parameter
-/// registries rely on.
+/// A handle to a node of the autograd tape: a tensor value plus (optionally)
+/// a gradient and the closure that propagates it. Variables are cheap shared
+/// handles — copying a Variable aliases the same node, which is what layer
+/// parameter registries rely on.
 class Variable {
  public:
-  Variable() : node_(std::make_shared<detail::Node>()) {}
+  Variable() : node_(std::make_shared<Node>()) {}
 
   explicit Variable(tensor::Tensor value, bool requires_grad = false)
-      : node_(std::make_shared<detail::Node>()) {
+      : node_(std::make_shared<Node>()) {
     node_->value = std::move(value);
     node_->requires_grad = requires_grad;
   }
 
-  /// Build a non-leaf from an op: `value` is the op output; `backward_fn`
-  /// accumulates into the parents. The node requires grad iff any parent
-  /// does. This is the extension point `nn` uses for conv/pool/etc. Under a
-  /// NoGradGuard the result is a plain leaf: no parents, no closure, no grad.
-  static Variable from_op(tensor::Tensor value, std::vector<Variable> parents,
-                          BackwardFn backward_fn);
+  /// Records an op whose output is `value`. Its backward `fn(const Node& n,
+  /// const Tensor& g)` receives the op's node: `n.parents` holds `parents`
+  /// in the order given here and `n.value` the output, and it accumulates
+  /// into the parents that require grad. This is the extension point `nn`
+  /// uses for conv/pool/etc. The output requires grad iff a parent does;
+  /// when none does, or under a NoGradGuard, it is a plain leaf with no
+  /// parents and no closure. `parents` is a braced list or a
+  /// std::vector<Variable>.
+  template <class F, class Parents = std::initializer_list<Variable>>
+  static Variable from_op(tensor::Tensor value, const Parents& parents, F fn) {
+    bool rg = false;
+    if (grad_enabled())
+      for (const Variable& p : parents) rg = rg || p.requires_grad();
+    if (!rg) return Variable(std::move(value));
+    auto node = std::make_shared<detail::OpNode<F>>(std::move(fn));
+    node->value = std::move(value);
+    node->requires_grad = true;
+    node->parents.reserve(parents.size());
+    for (const Variable& p : parents) node->parents.push_back(p.node_);
+    return Variable(std::move(node));
+  }
 
   const tensor::Tensor& value() const { return node_->value; }
+  /// Writable value. The backward of an op that reads its output (tanh,
+  /// sigmoid, the softmaxes, add_relu) reads this same tensor.
   tensor::Tensor& mutable_value() { return node_->value; }
 
   /// Gradient; zero tensor of the value's shape if nothing accumulated yet.
@@ -75,10 +126,12 @@ class Variable {
   /// Identity check (same underlying node).
   bool is(const Variable& other) const { return node_ == other.node_; }
 
-  std::shared_ptr<detail::Node> node() const { return node_; }
+  const std::shared_ptr<Node>& node() const { return node_; }
 
  private:
-  std::shared_ptr<detail::Node> node_;
+  explicit Variable(std::shared_ptr<Node> node) : node_(std::move(node)) {}
+
+  std::shared_ptr<Node> node_;
 };
 
 /// Step-scoped accounting marker, the graph-side analogue of
@@ -124,9 +177,6 @@ class NoGradGuard {
  private:
   bool prev_;
 };
-
-/// False while a NoGradGuard is open on the calling thread.
-bool grad_enabled();
 
 // ---- differentiable primitives -------------------------------------------
 // All binary ops broadcast like tensor::Tensor::binary and reduce gradients

@@ -11,31 +11,30 @@ using tensor::Tensor;
 Tensor RandomCrop::apply(const Tensor& img, Rng& rng) const {
   if (img.ndim() != 3) throw std::invalid_argument("RandomCrop: expects CHW");
   const std::int64_t c = img.shape()[0], h = img.shape()[1], w = img.shape()[2];
-  const std::int64_t ph = h + 2 * pad_, pw = w + 2 * pad_;
   const std::int64_t oi = static_cast<std::int64_t>(rng.randint(static_cast<std::uint64_t>(2 * pad_ + 1)));
   const std::int64_t oj = static_cast<std::int64_t>(rng.randint(static_cast<std::uint64_t>(2 * pad_ + 1)));
+  // Output pixel (i, j) reads source (i + oi - pad, j + oj - pad): each row
+  // inside the source copies its valid column span, and everything else
+  // keeps the zero border of the fresh tensor.
   Tensor out({c, h, w});
+  const std::int64_t j0 = std::max<std::int64_t>(0, pad_ - oj);
+  const std::int64_t j1 = std::min<std::int64_t>(w, w + pad_ - oj);
   for (std::int64_t ch = 0; ch < c; ++ch)
-    for (std::int64_t i = 0; i < h; ++i)
-      for (std::int64_t j = 0; j < w; ++j) {
-        const std::int64_t si = i + oi - pad_;
-        const std::int64_t sj = j + oj - pad_;
-        out.at({ch, i, j}) =
-            (si >= 0 && si < h && sj >= 0 && sj < w) ? img.at({ch, si, sj}) : 0.0f;
-      }
-  (void)ph;
-  (void)pw;
+    for (std::int64_t i = std::max<std::int64_t>(0, pad_ - oi);
+         i < std::min<std::int64_t>(h, h + pad_ - oi); ++i)
+      if (j0 < j1)
+        std::copy_n(img.data() + (ch * h + i + oi - pad_) * w + j0 + oj - pad_, j1 - j0,
+                    out.data() + (ch * h + i) * w + j0);
   return out;
 }
 
 Tensor RandomHorizontalFlip::apply(const Tensor& img, Rng& rng) const {
   if (img.ndim() != 3) throw std::invalid_argument("RandomHorizontalFlip: expects CHW");
   if (rng.uniform() >= p_) return img;
-  const std::int64_t c = img.shape()[0], h = img.shape()[1], w = img.shape()[2];
-  Tensor out({c, h, w});
-  for (std::int64_t ch = 0; ch < c; ++ch)
-    for (std::int64_t i = 0; i < h; ++i)
-      for (std::int64_t j = 0; j < w; ++j) out.at({ch, i, j}) = img.at({ch, i, w - 1 - j});
+  const std::int64_t w = img.shape()[2];
+  Tensor out = Tensor::uninitialized(img.shape());  // every row reversed into
+  for (std::int64_t r = 0; r < img.numel() / std::max<std::int64_t>(w, 1); ++r)
+    std::reverse_copy(img.data() + r * w, img.data() + (r + 1) * w, out.data() + r * w);
   return out;
 }
 

@@ -86,21 +86,21 @@ Variable concat_features(const Variable& a, const Variable& b) {
     std::copy(b.value().data() + r * db, b.value().data() + (r + 1) * db,
               out.data() + r * (da + db) + da);
   }
-  auto an = a.node();
-  auto bn = b.node();
-  return Variable::from_op(std::move(out), {a, b}, [an, bn, n, da, db](const Tensor& g) {
-    if (an->requires_grad) {
+  return Variable::from_op(std::move(out), {a, b}, [n, da, db](const autograd::Node& node,
+                                                               const Tensor& g) {
+    autograd::Node &an = *node.parents[0], &bn = *node.parents[1];
+    if (an.requires_grad) {
       Tensor ga({n, da});
       for (std::int64_t r = 0; r < n; ++r)
         std::copy(g.data() + r * (da + db), g.data() + r * (da + db) + da, ga.data() + r * da);
-      an->accumulate_grad(std::move(ga));
+      an.accumulate_grad(std::move(ga));
     }
-    if (bn->requires_grad) {
+    if (bn.requires_grad) {
       Tensor gb({n, db});
       for (std::int64_t r = 0; r < n; ++r)
         std::copy(g.data() + r * (da + db) + da, g.data() + (r + 1) * (da + db),
                   gb.data() + r * db);
-      bn->accumulate_grad(std::move(gb));
+      bn.accumulate_grad(std::move(gb));
     }
   });
 }

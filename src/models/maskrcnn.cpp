@@ -55,10 +55,9 @@ Variable roi_align(const Variable& features, const std::vector<Box>& rois, std::
         }
       }
   }
-  auto fn = features.node();
   return Variable::from_op(std::move(out), {features},
-                           [fn, samples, r, c, h, w, pool](const Tensor& g) {
-                             Tensor df(fn->value.shape());
+                           [samples, r, c, h, w, pool](const autograd::Node& n, const Tensor& g) {
+                             Tensor df(n.parents[0]->value.shape());
                              for (std::int64_t rr = 0; rr < r; ++rr)
                                for (std::int64_t pi = 0; pi < pool; ++pi)
                                  for (std::int64_t pj = 0; pj < pool; ++pj) {
@@ -76,7 +75,7 @@ Variable roi_align(const Variable& features, const std::vector<Box>& rois, std::
                                      plane[i1 * w + j1] += gv * (1 - s.wi) * (1 - s.wj);
                                    }
                                  }
-                             fn->accumulate_grad(std::move(df));
+                             n.parents[0]->accumulate_grad(std::move(df));
                            });
 }
 

@@ -15,6 +15,7 @@
 
 namespace mlperf::nn {
 
+using autograd::Node;
 using autograd::Variable;
 using tensor::Shape;
 using tensor::Tensor;
@@ -222,22 +223,20 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
         });
   }
 
-  auto in_node = input.node();
-  auto w_node = weight.node();
-  auto b_node = bias.node();
   std::vector<Variable> parents = {input, weight};
   if (has_bias) parents.push_back(bias);
   return Variable::from_op(
-      std::move(out), std::move(parents),
-      [in_node, w_node, b_node, d, stride, padding, has_bias, cache](const Tensor& g) {
+      std::move(out), parents,
+      [d, stride, padding, has_bias, cache](const Node& n, const Tensor& g) {
+        Node &in_node = *n.parents[0], &w_node = *n.parents[1];
         const std::int64_t col_rows = d.c * d.kh * d.kw;
         const std::int64_t col_cols = d.oh * d.ow;
         // The forward cached its slabs exactly when the weight requires grad.
         const bool need_w = cache != nullptr;
-        const bool need_x = in_node->requires_grad;
+        const bool need_x = in_node.requires_grad;
         // dX is scatter-added into by col2im_accumulate: it needs the zero fill.
-        Tensor dX = need_x ? Tensor(in_node->value.shape()) : Tensor();
-        const std::int64_t wnumel = w_node->value.numel();
+        Tensor dX = need_x ? Tensor(in_node.value.shape()) : Tensor();
+        const std::int64_t wnumel = w_node.value.numel();
         // dW accumulates across samples, so each sample gets a private
         // partial (computed identically at any thread count) and the
         // partials are summed in ascending sample order below — the exact
@@ -274,7 +273,7 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
                   {
                     core::OpTimer t(core::ProfiledOp::kConvDx);
                     tensor::gemm_accumulate(tensor::Trans::T, tensor::Trans::N, col_rows,
-                                            col_cols, d.o, w_node->value.data(), col_rows, gs,
+                                            col_cols, d.o, w_node.value.data(), col_rows, gs,
                                             col_cols, dcols, col_cols);
                   }
                   core::OpTimer t(core::ProfiledOp::kCol2im);
@@ -288,7 +287,7 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
           // dW (fully overwritten) and adds the partials into it in ascending
           // sample order, the per-element float-add sequence of the
           // sequential fold.
-          Tensor dW = Tensor::uninitialized(w_node->value.shape());
+          Tensor dW = Tensor::uninitialized(w_node.value.shape());
           float* dst = dW.data();
           parallel::parallel_for(parallel::grain_for(d.n), wnumel,
                                  [&](std::int64_t i_begin, std::int64_t i_end) {
@@ -299,10 +298,10 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
                                        dst[i] += dws[i];
                                    }
                                  });
-          w_node->accumulate_grad(std::move(dW));
+          w_node.accumulate_grad(std::move(dW));
         }
-        if (need_x) in_node->accumulate_grad(std::move(dX));
-        if (has_bias && b_node->requires_grad) {
+        if (need_x) in_node.accumulate_grad(std::move(dX));
+        if (has_bias && n.parents[2]->requires_grad) {
           Tensor db({d.o});
           core::OpTimer op_timer(core::ProfiledOp::kConvDb);
           // Channel-parallel: each task owns a disjoint range of db entries.
@@ -322,7 +321,7 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
                     dbp[o] += static_cast<float>(acc);
                   }
               });
-          b_node->accumulate_grad(std::move(db));
+          n.parents[2]->accumulate_grad(std::move(db));
         }
       });
 }
@@ -342,9 +341,8 @@ Variable global_avg_pool(const Variable& input) {
           out[s] = static_cast<float>(acc) * inv;
         }
       });
-  auto in_node = input.node();
-  return Variable::from_op(std::move(out), {input}, [in_node, hw, inv](const Tensor& g) {
-    Tensor dx(in_node->value.shape());
+  return Variable::from_op(std::move(out), {input}, [hw, inv](const Node& n, const Tensor& g) {
+    Tensor dx(n.parents[0]->value.shape());
     parallel::parallel_for(
         parallel::grain_for(hw), g.numel(), [&](std::int64_t s_begin, std::int64_t s_end) {
           for (std::int64_t s = s_begin; s < s_end; ++s) {
@@ -353,7 +351,7 @@ Variable global_avg_pool(const Variable& input) {
             for (std::int64_t i = 0; i < hw; ++i) plane[i] += gv;
           }
         });
-    in_node->accumulate_grad(std::move(dx));
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -374,9 +372,8 @@ Variable upsample2x(const Variable& input) {
         dst[(2 * i + 1) * 2 * w + 2 * j + 1] = v;
       }
   }
-  auto in_node = input.node();
-  return Variable::from_op(std::move(out), {input}, [in_node, h, w](const Tensor& g) {
-    Tensor dx(in_node->value.shape());
+  return Variable::from_op(std::move(out), {input}, [h, w](const Node& n, const Tensor& g) {
+    Tensor dx(n.parents[0]->value.shape());
     const std::int64_t planes = dx.numel() / (h * w);
     for (std::int64_t s = 0; s < planes; ++s) {
       const float* gs = g.data() + s * 4 * h * w;
@@ -386,7 +383,7 @@ Variable upsample2x(const Variable& input) {
           ds[i * w + j] = gs[(2 * i) * 2 * w + 2 * j] + gs[(2 * i) * 2 * w + 2 * j + 1] +
                           gs[(2 * i + 1) * 2 * w + 2 * j] + gs[(2 * i + 1) * 2 * w + 2 * j + 1];
     }
-    in_node->accumulate_grad(std::move(dx));
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -436,8 +433,8 @@ Variable fused_scaled_softmax(const Variable& scores, float scale, const Tensor&
           }
         });
   }
-  auto zn = scores.node();
-  return Variable::from_op(y, {scores}, [zn, y, scale](const Tensor& g) {
+  return Variable::from_op(std::move(y), {scores}, [scale](const Node& n, const Tensor& g) {
+    const Tensor& y = n.value;
     const std::int64_t last = y.shape().back();
     const std::int64_t rows = y.numel() / std::max<std::int64_t>(last, 1);
     Tensor dx = Tensor::uninitialized(y.shape());  // every row written below
@@ -456,7 +453,7 @@ Variable fused_scaled_softmax(const Variable& scores, float scale, const Tensor&
             for (std::int64_t j = 0; j < last; ++j) dr[j] = yr[j] * (gr[j] - dotf) * scale;
           }
         });
-    zn->accumulate_grad(std::move(dx));
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -484,10 +481,10 @@ Variable weighted_cross_entropy(const Variable& logits, const std::vector<std::i
     loss -= static_cast<double>(weights[static_cast<std::size_t>(i)]) * logp[i * c + t];
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / wsum));
-  auto zn = logits.node();
   const float inv_wsum = static_cast<float>(1.0 / wsum);
   return Variable::from_op(std::move(out), {logits},
-                           [zn, targets, weights, logp, n, c, inv_wsum](const Tensor& g) {
+                           [targets, weights, logp, n, c, inv_wsum](const Node& node,
+                                                                    const Tensor& g) {
                              // d/dz = w/wsum * (softmax(z) - onehot(t)) * g.
                              // Row-parallel with disjoint writes; zero-weight
                              // rows keep dz's zero fill, so the split does not
@@ -508,7 +505,7 @@ Variable weighted_cross_entropy(const Variable& logits, const std::vector<std::i
                                      dr[targets[static_cast<std::size_t>(i)]] -= f;
                                    }
                                  });
-                             zn->accumulate_grad(std::move(dz));
+                             node.parents[0]->accumulate_grad(std::move(dz));
                            });
 }
 
@@ -533,9 +530,9 @@ Variable smoothed_cross_entropy(const Variable& logits,
       loss -= static_cast<double>(uniform) * logp[i * c + j];
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / static_cast<double>(n)));
-  auto zn = logits.node();
   return Variable::from_op(
-      std::move(out), {logits}, [zn, targets, logp, n, c, on_target, uniform](const Tensor& g) {
+      std::move(out), {logits},
+      [targets, logp, n, c, on_target, uniform](const Node& node, const Tensor& g) {
         // d/dz = (softmax(z) - q) / n, with q the smoothed target distribution.
         // Row-parallel, disjoint writes, every element written: bitwise the
         // old sequential loop at any thread count.
@@ -550,7 +547,7 @@ Variable smoothed_cross_entropy(const Variable& logits,
                 dr[targets[static_cast<std::size_t>(i)]] -= f * on_target;
               }
             });
-        zn->accumulate_grad(std::move(dz));
+        node.parents[0]->accumulate_grad(std::move(dz));
       });
 }
 
@@ -566,15 +563,16 @@ Variable bce_with_logits(const Variable& logits, const std::vector<float>& targe
     loss += std::max(zi, 0.0f) - zi * ti + std::log1p(std::exp(-std::fabs(zi)));
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / static_cast<double>(n)));
-  auto zn = logits.node();
-  return Variable::from_op(std::move(out), {logits}, [zn, targets, n](const Tensor& g) {
-    Tensor dz(zn->value.shape());
+  return Variable::from_op(std::move(out), {logits}, [targets, n](const Node& node,
+                                                                  const Tensor& g) {
+    Node& zn = *node.parents[0];
+    Tensor dz(zn.value.shape());
     const float f = g[0] / static_cast<float>(n);
     for (std::int64_t i = 0; i < n; ++i) {
-      const float s = 1.0f / (1.0f + std::exp(-zn->value[i]));
+      const float s = 1.0f / (1.0f + std::exp(-zn.value[i]));
       dz[i] = f * (s - targets[static_cast<std::size_t>(i)]);
     }
-    zn->accumulate_grad(std::move(dz));
+    zn.accumulate_grad(std::move(dz));
   });
 }
 
@@ -600,22 +598,23 @@ Variable smooth_l1(const Variable& pred, const Tensor& target,
     }
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / wsum));
-  auto pn = pred.node();
   const float inv_wsum = static_cast<float>(1.0 / wsum);
   return Variable::from_op(
-      std::move(out), {pred}, [pn, target, row_weights, rows, cols, inv_wsum](const Tensor& g) {
-        Tensor dp(pn->value.shape());
+      std::move(out), {pred},
+      [target, row_weights, rows, cols, inv_wsum](const Node& n, const Tensor& g) {
+        Node& pn = *n.parents[0];
+        Tensor dp(pn.value.shape());
         const float gv = g[0];
         for (std::int64_t r = 0; r < rows; ++r) {
           const float w = row_weights[static_cast<std::size_t>(r)];
           if (w == 0.0f) continue;
           for (std::int64_t q = 0; q < cols; ++q) {
-            const float d = pn->value[r * cols + q] - target[r * cols + q];
+            const float d = pn.value[r * cols + q] - target[r * cols + q];
             const float grad = std::fabs(d) < 1.0f ? d : (d > 0.0f ? 1.0f : -1.0f);
             dp[r * cols + q] = gv * w * inv_wsum * grad;
           }
         }
-        pn->accumulate_grad(std::move(dp));
+        pn.accumulate_grad(std::move(dp));
       });
 }
 
@@ -629,12 +628,12 @@ Variable mse(const Variable& pred, const Tensor& target) {
     loss += d * d;
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / static_cast<double>(n)));
-  auto pn = pred.node();
-  return Variable::from_op(std::move(out), {pred}, [pn, target, n](const Tensor& g) {
-    Tensor dp(pn->value.shape());
+  return Variable::from_op(std::move(out), {pred}, [target, n](const Node& node, const Tensor& g) {
+    Node& pn = *node.parents[0];
+    Tensor dp(pn.value.shape());
     const float f = 2.0f * g[0] / static_cast<float>(n);
-    for (std::int64_t i = 0; i < n; ++i) dp[i] = f * (pn->value[i] - target[i]);
-    pn->accumulate_grad(std::move(dp));
+    for (std::int64_t i = 0; i < n; ++i) dp[i] = f * (pn.value[i] - target[i]);
+    pn.accumulate_grad(std::move(dp));
   });
 }
 

@@ -9,6 +9,7 @@
 
 namespace mlperf::nn {
 
+using autograd::Node;
 using autograd::Variable;
 using tensor::Shape;
 using tensor::Tensor;
@@ -115,19 +116,17 @@ Variable BatchNorm2d::forward(const Variable& x) {
         }
       });
 
-  auto xn = x.node();
-  auto gn = gamma.node();
-  auto bn = beta.node();
   return Variable::from_op(
       std::move(out), {x, gamma, beta},
-      [xn, gn, bn, xhat, inv_std, n, c, hw, m, train_mode](const Tensor& g) {
+      [xhat, inv_std, n, c, hw, m, train_mode](const Node& node, const Tensor& g) {
+        Node &xn = *node.parents[0], &gn = *node.parents[1], &bn = *node.parents[2];
         // Channel-parallel as well: a channel's dgamma/dbeta fold its samples
         // in ascending order, and its dx planes need only that channel's
         // sums, so each part finishes its channels end to end. dx is fully
         // overwritten when it is needed.
         Tensor dgamma({c}), dbeta({c});
-        const bool need_x = xn->requires_grad;
-        Tensor dx = need_x ? Tensor::uninitialized(xn->value.shape()) : Tensor();
+        const bool need_x = xn.requires_grad;
+        Tensor dx = need_x ? Tensor::uninitialized(xn.value.shape()) : Tensor();
         const float inv_m = 1.0f / static_cast<float>(m);
         parallel::parallel_for(
             parallel::grain_for(6 * m), c, [&](std::int64_t c_begin, std::int64_t c_end) {
@@ -144,7 +143,7 @@ Variable BatchNorm2d::forward(const Variable& x) {
                   dbeta[ch] += static_cast<float>(db);
                 }
                 if (!need_x) continue;
-                const float ga = gn->value[ch], is = inv_std[ch];
+                const float ga = gn.value[ch], is = inv_std[ch];
                 const float sum_dxhat = dbeta[ch] * ga;        // sum of g*gamma
                 const float sum_dxhat_xhat = dgamma[ch] * ga;  // sum of g*gamma*xhat
                 for (std::int64_t b = 0; b < n; ++b) {
@@ -162,9 +161,9 @@ Variable BatchNorm2d::forward(const Variable& x) {
                 }
               }
             });
-        if (gn->requires_grad) gn->accumulate_grad(std::move(dgamma));
-        if (bn->requires_grad) bn->accumulate_grad(std::move(dbeta));
-        if (need_x) xn->accumulate_grad(std::move(dx));
+        if (gn.requires_grad) gn.accumulate_grad(std::move(dgamma));
+        if (bn.requires_grad) bn.accumulate_grad(std::move(dbeta));
+        if (need_x) xn.accumulate_grad(std::move(dx));
       });
 }
 
@@ -204,11 +203,10 @@ Variable LayerNorm::forward(const Variable& x) const {
     }
   }
 
-  auto xn = x.node();
-  auto gn = gamma.node();
-  auto bn = beta.node();
   return Variable::from_op(
-      std::move(out), {x, gamma, beta}, [xn, gn, bn, xhat, inv_std, rows, d](const Tensor& g) {
+      std::move(out), {x, gamma, beta},
+      [xhat, inv_std, rows, d](const Node& n, const Tensor& g) {
+        Node &xn = *n.parents[0], &gn = *n.parents[1], &bn = *n.parents[2];
         Tensor dgamma({d}), dbeta({d});
         for (std::int64_t r = 0; r < rows; ++r) {
           const float* gp = g.data() + r * d;
@@ -218,10 +216,10 @@ Variable LayerNorm::forward(const Variable& x) const {
             dbeta[i] += gp[i];
           }
         }
-        if (gn->requires_grad) gn->accumulate_grad(std::move(dgamma));
-        if (bn->requires_grad) bn->accumulate_grad(std::move(dbeta));
-        if (!xn->requires_grad) return;
-        Tensor dx = Tensor::uninitialized(xn->value.shape());
+        if (gn.requires_grad) gn.accumulate_grad(std::move(dgamma));
+        if (bn.requires_grad) bn.accumulate_grad(std::move(dbeta));
+        if (!xn.requires_grad) return;
+        Tensor dx = Tensor::uninitialized(xn.value.shape());
         const float inv_d = 1.0f / static_cast<float>(d);
         for (std::int64_t r = 0; r < rows; ++r) {
           const float* gp = g.data() + r * d;
@@ -230,17 +228,17 @@ Variable LayerNorm::forward(const Variable& x) const {
           const float is = (*inv_std)[static_cast<std::size_t>(r)];
           double s1 = 0.0, s2 = 0.0;
           for (std::int64_t i = 0; i < d; ++i) {
-            const float dxhat = gp[i] * gn->value[i];
+            const float dxhat = gp[i] * gn.value[i];
             s1 += dxhat;
             s2 += static_cast<double>(dxhat) * xh[i];
           }
           for (std::int64_t i = 0; i < d; ++i) {
-            const float dxhat = gp[i] * gn->value[i];
+            const float dxhat = gp[i] * gn.value[i];
             dp[i] = is * (dxhat - inv_d * static_cast<float>(s1) -
                           xh[i] * inv_d * static_cast<float>(s2));
           }
         }
-        xn->accumulate_grad(std::move(dx));
+        xn.accumulate_grad(std::move(dx));
       });
 }
 
@@ -402,26 +400,25 @@ Variable MultiHeadAttention::project_heads(const Linear& w, const Variable& x) c
   add_bias_rows(y, w.bias.value());
   Tensor out = Tensor::uninitialized({xv.shape()[0] * heads, t, dh});  // fully copied into
   rows_to_heads(y.data(), out.data(), rows, t, heads, dh);
-  auto xn = x.node();
-  auto wn = w.weight.node();
-  auto bn = w.bias.node();
   const std::int64_t hs = heads;
   return Variable::from_op(
-      std::move(out), {x, w.weight, w.bias}, [xn, wn, bn, hs, t, d, dh, rows](const Tensor& g) {
+      std::move(out), {x, w.weight, w.bias},
+      [hs, t, d, dh, rows](const Node& n, const Tensor& g) {
+        Node &xn = *n.parents[0], &wn = *n.parents[1], &bn = *n.parents[2];
         Tensor g2 = Tensor::uninitialized({rows, d});  // fully copied into
         heads_to_rows(g.data(), g2.data(), rows, t, hs, dh);
-        if (bn->requires_grad) bn->accumulate_grad(g2.reduce_to({d}));
-        if (wn->requires_grad) {
+        if (bn.requires_grad) bn.accumulate_grad(g2.reduce_to({d}));
+        if (wn.requires_grad) {
           Tensor dw({d, d});
           tensor::matmul_accumulate(tensor::Trans::T, tensor::Trans::N, d, d, rows, g2.data(), d,
-                                    xn->value.data(), d, dw.data());
-          wn->accumulate_grad(std::move(dw));
+                                    xn.value.data(), d, dw.data());
+          wn.accumulate_grad(std::move(dw));
         }
-        if (xn->requires_grad) {
-          Tensor dx(xn->value.shape());
+        if (xn.requires_grad) {
+          Tensor dx(xn.value.shape());
           tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::N, rows, d, d, g2.data(), d,
-                                    wn->value.data(), d, dx.data());
-          xn->accumulate_grad(std::move(dx));
+                                    wn.value.data(), d, dx.data());
+          xn.accumulate_grad(std::move(dx));
         }
       });
 }
@@ -438,27 +435,25 @@ Variable MultiHeadAttention::merge_heads(const Variable& ctx) const {
   tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::T, rows, d, d, merged.data(), d,
                             wo.weight.value().data(), d, out.data());
   add_bias_rows(out, wo.bias.value());
-  auto cn = ctx.node();
-  auto wn = wo.weight.node();
-  auto bn = wo.bias.node();
   const std::int64_t hs = heads;
   return Variable::from_op(
       std::move(out), {ctx, wo.weight, wo.bias},
-      [cn, wn, bn, merged = std::move(merged), hs, t, d, dh, rows](const Tensor& g) {
-        if (bn->requires_grad) bn->accumulate_grad(g.reduce_to({d}));
-        if (wn->requires_grad) {
+      [merged = std::move(merged), hs, t, d, dh, rows](const Node& n, const Tensor& g) {
+        Node &cn = *n.parents[0], &wn = *n.parents[1], &bn = *n.parents[2];
+        if (bn.requires_grad) bn.accumulate_grad(g.reduce_to({d}));
+        if (wn.requires_grad) {
           Tensor dw({d, d});
           tensor::matmul_accumulate(tensor::Trans::T, tensor::Trans::N, d, d, rows, g.data(), d,
                                     merged.data(), d, dw.data());
-          wn->accumulate_grad(std::move(dw));
+          wn.accumulate_grad(std::move(dw));
         }
-        if (!cn->requires_grad) return;
+        if (!cn.requires_grad) return;
         Tensor dm({rows, d});
         tensor::matmul_accumulate(tensor::Trans::N, tensor::Trans::N, rows, d, d, g.data(), d,
-                                  wn->value.data(), d, dm.data());
-        Tensor dctx = Tensor::uninitialized(cn->value.shape());  // fully copied into
+                                  wn.value.data(), d, dm.data());
+        Tensor dctx = Tensor::uninitialized(cn.value.shape());  // fully copied into
         rows_to_heads(dm.data(), dctx.data(), rows, t, hs, dh);
-        cn->accumulate_grad(std::move(dctx));
+        cn.accumulate_grad(std::move(dctx));
       });
 }
 

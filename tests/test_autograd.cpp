@@ -9,10 +9,12 @@
 #include <functional>
 #include <iterator>
 #include <thread>
+#include <typeinfo>
 
 #include "checkpoint/state.h"
 #include "nn/functional.h"
 #include "parallel/parallel_for.h"
+#include "tensor/pool.h"
 
 namespace mlperf::autograd {
 namespace {
@@ -421,7 +423,8 @@ TEST(NoGrad, OpsUnderGuardRecordNoTape) {
     const Variable y = relu(mul(add(a, b), a));
     EXPECT_FALSE(y.requires_grad());
     EXPECT_TRUE(y.node()->parents.empty());
-    EXPECT_FALSE(static_cast<bool>(y.node()->backward_fn));
+    const Node& yn = *y.node();
+    EXPECT_EQ(typeid(Node), typeid(yn)) << "a plain leaf: no backward closure";
     // Same kernels either way: the value is bitwise the taped one.
     EXPECT_EQ(0, std::memcmp(y.value().data(), taped.value().data(),
                              static_cast<std::size_t>(y.numel()) * sizeof(float)));
@@ -430,6 +433,48 @@ TEST(NoGrad, OpsUnderGuardRecordNoTape) {
   const Variable after = add(a, b);
   EXPECT_TRUE(after.requires_grad());
   EXPECT_EQ(2u, after.node()->parents.size());
+}
+
+// Grad enabled, but no input requires grad: the op records no tape either.
+TEST(NoGrad, OpsOnInputsNeedingNoGradRecordNoParents) {
+  ASSERT_TRUE(grad_enabled());
+  Rng rng(93);
+  const Variable a(Tensor::randn({3, 4}, rng));
+  const Variable b(Tensor::randn({4}, rng));
+  for (const Variable& y : {add(a, b), relu(mul(a, a)), cat0({a, a}),
+                            nn::fused_scaled_softmax(a, 0.5f, Tensor())}) {
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+    const Node& yn = *y.node();
+    EXPECT_EQ(typeid(Node), typeid(yn));
+  }
+}
+
+// A taped op keeps one copy of its output: the node's value, which its
+// backward reads. So the forward draws exactly one buffer from the pool.
+TEST(Tape, OpsReadingTheirOutputDrawOneBuffer) {
+  ASSERT_TRUE(grad_enabled());
+  Rng rng(94);
+  const Variable a(Tensor::randn({6, 5}, rng), true);
+  const Variable b(Tensor::randn({5}, rng), true);
+  const std::vector<std::pair<const char*, std::function<Variable()>>> ops = {
+      {"tanh_op", [&] { return tanh_op(a); }},
+      {"sigmoid", [&] { return sigmoid(a); }},
+      {"softmax_last", [&] { return softmax_last(a); }},
+      {"log_softmax_last", [&] { return log_softmax_last(a); }},
+      {"add_relu", [&] { return add_relu(a, b); }},
+      {"fused_scaled_softmax", [&] { return nn::fused_scaled_softmax(a, 0.5f, Tensor()); }},
+  };
+  auto draws = [] {
+    const tensor::TensorPool::Stats s = tensor::TensorPool::instance().stats();
+    return s.hits + s.misses;
+  };
+  for (const auto& [name, op] : ops) {
+    const std::int64_t before = draws();
+    const Variable y = op();
+    EXPECT_EQ(1, draws() - before) << name;
+    EXPECT_TRUE(y.requires_grad()) << name;
+  }
 }
 
 TEST(NoGrad, GuardsNestAndRestore) {

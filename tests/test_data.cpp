@@ -81,6 +81,36 @@ TEST(Augment, CropPreservesShape) {
   EXPECT_EQ(out.shape(), img.shape());
 }
 
+// Output (c, i, j) is source (c, i + oi - pad, j + oj - pad), or 0 outside
+// it, with oi and oj the crop's two draws. Seeds run until every offset in
+// [0, 2 * pad] has been drawn on both axes.
+TEST(Augment, CropMatchesShiftedZeroPaddedOracle) {
+  const std::int64_t pad = 2, c = 2, h = 5, w = 7;
+  RandomCrop crop(pad);
+  std::set<std::int64_t> rows_seen, cols_seen;
+  for (std::uint64_t seed = 1; seed < 200; ++seed) {
+    Rng init(seed);
+    const Tensor img = Tensor::rand({c, h, w}, init, 0.5f, 1.5f);  // no source zeros
+    Rng rng(seed), probe(seed);
+    const Tensor out = crop.apply(img, rng);
+    const auto oi = static_cast<std::int64_t>(probe.randint(2 * pad + 1));
+    const auto oj = static_cast<std::int64_t>(probe.randint(2 * pad + 1));
+    EXPECT_EQ(rng.next_u64(), probe.next_u64()) << "the crop draws exactly two offsets";
+    rows_seen.insert(oi);
+    cols_seen.insert(oj);
+    for (std::int64_t ch = 0; ch < c; ++ch)
+      for (std::int64_t i = 0; i < h; ++i)
+        for (std::int64_t j = 0; j < w; ++j) {
+          const std::int64_t si = i + oi - pad, sj = j + oj - pad;
+          const bool inside = si >= 0 && si < h && sj >= 0 && sj < w;
+          ASSERT_EQ(inside ? img.at({ch, si, sj}) : 0.0f, out.at({ch, i, j}))
+              << "seed " << seed << " at " << ch << "," << i << "," << j;
+        }
+    if (std::ssize(rows_seen) == 2 * pad + 1 && std::ssize(cols_seen) == 2 * pad + 1) return;
+  }
+  FAIL() << "the seeds did not cover every offset";
+}
+
 TEST(Augment, FlipIsExactMirror) {
   Rng rng(2);
   Tensor img = Tensor::rand({1, 2, 4}, rng);
