@@ -169,8 +169,6 @@ std::int64_t GraphEpoch::last_pool_hits() {
 }
 
 // ---- op helpers ------------------------------------------------------------
-// Each closure reads parent i as `*n.parents[i]` and the op's output as
-// `n.value`.
 
 // The identity gradient goes to each parent by reference: no copy per parent.
 Variable add(const Variable& a, const Variable& b) {
