@@ -76,7 +76,7 @@ int main() {
             global_batch,
             [&](std::int64_t b, std::int64_t e) {
               model.zero_grad();
-              tensor::Tensor shard = batch.images.slice0(b, e);
+              tensor::Tensor shard = batch.images.slice(0, b, e);
               std::vector<std::int64_t> labels(batch.labels.begin() + b,
                                                batch.labels.begin() + e);
               autograd::Variable loss =

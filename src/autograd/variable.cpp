@@ -293,26 +293,33 @@ Variable permute(const Variable& a, const std::vector<std::int64_t>& dims) {
   });
 }
 
-Variable slice0(const Variable& a, std::int64_t begin, std::int64_t end) {
-  Tensor out = a.value().slice0(begin, end);
-  return Variable::from_op(std::move(out), {a}, [begin](const Node& n, const Tensor& g) {
-    Tensor full(n.parents[0]->value.shape());
-    const std::int64_t row = full.numel() / std::max<std::int64_t>(full.shape()[0], 1);
-    std::copy(g.vec().begin(), g.vec().end(), full.vec().begin() + begin * row);
+Variable slice(const Variable& a, std::int64_t dim, std::int64_t begin, std::int64_t end) {
+  Tensor out = a.value().slice(dim, begin, end);
+  return Variable::from_op(std::move(out), {a}, [dim, begin](const Node& n, const Tensor& g) {
+    // g's blocks land in the slice of a zero tensor of the parent's shape.
+    const Shape& s = n.parents[0]->value.shape();
+    Tensor full(s);
+    std::int64_t inner = 1;
+    for (std::size_t d = static_cast<std::size_t>(dim) + 1; d < s.size(); ++d) inner *= s[d];
+    const std::int64_t block = g.shape()[static_cast<std::size_t>(dim)] * inner;
+    const std::int64_t stride = s[static_cast<std::size_t>(dim)] * inner;
+    for (std::int64_t o = 0; o * block < g.numel(); ++o)
+      std::copy_n(g.data() + o * block, block, full.data() + o * stride + begin * inner);
     n.parents[0]->accumulate_grad(std::move(full));
   });
 }
 
-Variable cat0(const std::vector<Variable>& parts) {
-  std::vector<Tensor> vals;
-  vals.reserve(parts.size());
-  for (const auto& p : parts) vals.push_back(p.value());
-  return Variable::from_op(Tensor::cat0(vals), parts, [](const Node& n, const Tensor& g) {
+Variable cat(const std::vector<Variable>& parts, std::int64_t dim) {
+  std::vector<const Tensor*> values;
+  values.reserve(parts.size());
+  for (const auto& p : parts) values.push_back(&p.value());
+  return Variable::from_op(Tensor::cat(values, dim), parts, [dim](const Node& n, const Tensor& g) {
+    const auto ud = static_cast<std::size_t>(dim);
     std::int64_t begin = 0;
     for (const auto& p : n.parents) {
-      const std::int64_t rows = p->value.shape()[0];
-      if (p->requires_grad) p->accumulate_grad(g.slice0(begin, begin + rows));
-      begin += rows;
+      const std::int64_t extent = p->value.shape()[ud];
+      if (p->requires_grad) p->accumulate_grad(g.slice(dim, begin, begin + extent));
+      begin += extent;
     }
   });
 }
@@ -372,16 +379,16 @@ Variable log_softmax_last(const Variable& a) {
   });
 }
 
-Variable embedding(const Variable& table, const std::vector<std::int64_t>& indices) {
+Variable gather_rows(const Variable& table, const std::vector<std::int64_t>& indices) {
   const Tensor& tv = table.value();
-  if (tv.ndim() != 2) throw std::invalid_argument("embedding(): table must be rank 2");
+  if (tv.ndim() != 2) throw std::invalid_argument("gather_rows(): table must be rank 2");
   const std::int64_t vocab = tv.shape()[0];
   const std::int64_t dim = tv.shape()[1];
   // Fully covered by the row copies below (indices are validated first).
   Tensor out = Tensor::uninitialized({static_cast<std::int64_t>(indices.size()), dim});
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const std::int64_t row = indices[i];
-    if (row < 0 || row >= vocab) throw std::out_of_range("embedding(): index out of range");
+    if (row < 0 || row >= vocab) throw std::out_of_range("gather_rows(): index out of range");
     std::copy(tv.data() + row * dim, tv.data() + (row + 1) * dim,
               out.data() + static_cast<std::int64_t>(i) * dim);
   }

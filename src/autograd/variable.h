@@ -205,12 +205,17 @@ Variable tanh_op(const Variable& a);
 Variable sigmoid(const Variable& a);
 Variable reshape(const Variable& a, tensor::Shape shape);
 Variable permute(const Variable& a, const std::vector<std::int64_t>& dims);
-Variable slice0(const Variable& a, std::int64_t begin, std::int64_t end);
-Variable cat0(const std::vector<Variable>& parts);
+/// Indices [begin, end) of `a` along `dim`. Backward writes the gradient
+/// into that slice of a zero tensor of a's shape.
+Variable slice(const Variable& a, std::int64_t dim, std::int64_t begin, std::int64_t end);
+/// Concatenation along `dim` (Tensor::cat); each part's gradient is its
+/// slice of the output's.
+Variable cat(const std::vector<Variable>& parts, std::int64_t dim);
 Variable sum_all(const Variable& a);
 Variable softmax_last(const Variable& a);
 Variable log_softmax_last(const Variable& a);
-/// Row lookup: table is [V, D]; indices selects rows -> [n, D].
-Variable embedding(const Variable& table, const std::vector<std::int64_t>& indices);
+/// Row gather: table is [V, D]; indices selects rows -> [n, D]. Backward
+/// scatter-adds each gradient row into its table row, in index order.
+Variable gather_rows(const Variable& table, const std::vector<std::int64_t>& indices);
 
 }  // namespace mlperf::autograd

@@ -63,17 +63,18 @@ RawImageRecord SyntheticImageDataset::make_example(std::int64_t label, Rng& rng)
   const std::int64_t si = static_cast<std::int64_t>(rng.randint(static_cast<std::uint64_t>(config_.height)));
   const std::int64_t sj = static_cast<std::int64_t>(rng.randint(static_cast<std::uint64_t>(config_.width)));
   const float brightness = rng.uniform(-0.1f, 0.1f);
+  std::uint8_t* dst = rec.pixels.data();
   for (std::int64_t c = 0; c < config_.channels; ++c)
-    for (std::int64_t i = 0; i < config_.height; ++i)
+    for (std::int64_t i = 0; i < config_.height; ++i) {
+      const float* row = proto.data() + (c * config_.height + (i + si) % config_.height) *
+                                            config_.width;
       for (std::int64_t j = 0; j < config_.width; ++j) {
-        const std::int64_t pi = (i + si) % config_.height;
-        const std::int64_t pj = (j + sj) % config_.width;
-        float v = proto.at({c, pi, pj}) + brightness +
+        float v = row[(j + sj) % config_.width] + brightness +
                   static_cast<float>(rng.normal(0.0, config_.noise));
         v = std::clamp(v, 0.0f, 1.0f);
-        rec.pixels[static_cast<std::size_t>((c * config_.height + i) * config_.width + j)] =
-            static_cast<std::uint8_t>(std::lround(v * 255.0f));
+        *dst++ = static_cast<std::uint8_t>(std::lround(v * 255.0f));
       }
+    }
   return rec;
 }
 

@@ -49,62 +49,22 @@ std::vector<Variable> GnmtModel::encode(const std::vector<TokenSeq>& src) {
 }
 
 Variable GnmtModel::attend(const Variable& query, const std::vector<Variable>& enc_hiddens) {
-  const std::int64_t b = query.shape()[0];
-  const std::int64_t t_len = static_cast<std::int64_t>(enc_hiddens.size());
-  // scores[t] = v^T tanh(Wq q + Wk h_t), assembled as [T, B] then softmaxed.
+  // scores[:, t] = v^T tanh(Wq q + Wk h_t), one [B, 1] column per t, softmaxed over t.
   Variable q_proj = attn_query_.forward(query);  // [B, A]
-  std::vector<Variable> score_rows;
-  score_rows.reserve(static_cast<std::size_t>(t_len));
-  for (const auto& h : enc_hiddens) {
-    Variable s = attn_v_.forward(
-        autograd::tanh_op(autograd::add(q_proj, attn_key_.forward(h))));  // [B, 1]
-    score_rows.push_back(autograd::reshape(s, {1, b}));
-  }
-  Variable scores_tb = autograd::cat0(score_rows);                   // [T, B]
-  Variable alphas = autograd::softmax_last(autograd::permute(scores_tb, {1, 0}));  // [B, T]
-  Variable alphas_tb = autograd::permute(alphas, {1, 0});            // [T, B]
+  std::vector<Variable> score_cols;
+  score_cols.reserve(enc_hiddens.size());
+  for (const auto& h : enc_hiddens)
+    score_cols.push_back(attn_v_.forward(
+        autograd::tanh_op(autograd::add(q_proj, attn_key_.forward(h)))));  // [B, 1]
+  Variable alphas = autograd::softmax_last(autograd::cat(score_cols, 1));  // [B, T]
   Variable context;  // accumulate sum_t alpha_t * h_t
-  for (std::int64_t t = 0; t < t_len; ++t) {
-    Variable a_t = autograd::reshape(autograd::slice0(alphas_tb, t, t + 1), {b, 1});
-    Variable term = autograd::mul(a_t, enc_hiddens[static_cast<std::size_t>(t)]);  // [B, H]
-    context = (t == 0) ? term : autograd::add(context, term);
+  for (std::size_t t = 0; t < enc_hiddens.size(); ++t) {
+    const auto ti = static_cast<std::int64_t>(t);
+    Variable term = autograd::mul(autograd::slice(alphas, 1, ti, ti + 1), enc_hiddens[t]);
+    context = (t == 0) ? term : autograd::add(context, term);  // [B, H]
   }
   return context;
 }
-
-namespace {
-/// Concatenate [B, E] and [B, H] along the feature axis via per-row copy
-/// (decoder input feeding needs a real concat, not the split-linear trick,
-/// because the LSTM consumes it as one input).
-Variable concat_features(const Variable& a, const Variable& b) {
-  const std::int64_t n = a.shape()[0], da = a.shape()[1], db = b.shape()[1];
-  if (b.shape()[0] != n) throw std::invalid_argument("concat_features: batch mismatch");
-  Tensor out({n, da + db});
-  for (std::int64_t r = 0; r < n; ++r) {
-    std::copy(a.value().data() + r * da, a.value().data() + (r + 1) * da,
-              out.data() + r * (da + db));
-    std::copy(b.value().data() + r * db, b.value().data() + (r + 1) * db,
-              out.data() + r * (da + db) + da);
-  }
-  return Variable::from_op(std::move(out), {a, b}, [n, da, db](const autograd::Node& node,
-                                                               const Tensor& g) {
-    autograd::Node &an = *node.parents[0], &bn = *node.parents[1];
-    if (an.requires_grad) {
-      Tensor ga({n, da});
-      for (std::int64_t r = 0; r < n; ++r)
-        std::copy(g.data() + r * (da + db), g.data() + r * (da + db) + da, ga.data() + r * da);
-      an.accumulate_grad(std::move(ga));
-    }
-    if (bn.requires_grad) {
-      Tensor gb({n, db});
-      for (std::int64_t r = 0; r < n; ++r)
-        std::copy(g.data() + r * (da + db) + da, g.data() + (r + 1) * (da + db),
-                  gb.data() + r * db);
-      bn.accumulate_grad(std::move(gb));
-    }
-  });
-}
-}  // namespace
 
 Variable GnmtModel::forward_teacher(const std::vector<TokenSeq>& src,
                                     const std::vector<TokenSeq>& tgt_in) {
@@ -118,7 +78,7 @@ Variable GnmtModel::forward_teacher(const std::vector<TokenSeq>& src,
     std::vector<std::int64_t> toks;
     toks.reserve(tgt_in.size());
     for (const auto& s : tgt_in) toks.push_back(s[t]);
-    Variable inp = concat_features(embedding_.forward(toks), context);
+    Variable inp = autograd::cat({embedding_.forward(toks), context}, 1);
     auto out = decoder_.forward({inp}, states);
     states = out.final_states;
     Variable h = out.hiddens[0];
@@ -126,13 +86,9 @@ Variable GnmtModel::forward_teacher(const std::vector<TokenSeq>& src,
     step_logits.push_back(
         autograd::add(out_hidden_.forward(h), out_context_.forward(context)));  // [B, V]
   }
-  // Assemble [B*T, V] in batch-major order: row (i*T + t).
-  std::vector<Variable> rows;
-  rows.reserve(step_logits.size());
-  for (auto& l : step_logits) rows.push_back(autograd::reshape(l, {1, b, config_.vocab}));
-  Variable tbv = autograd::cat0(rows);                       // [T, B, V]
-  Variable btv = autograd::permute(tbv, {1, 0, 2});          // [B, T, V]
-  return autograd::reshape(btv, {b * static_cast<std::int64_t>(t_len), config_.vocab});
+  // [B, T*V] read as [B*T, V] is batch-major: row i*T + t is step t's row i.
+  return autograd::reshape(autograd::cat(step_logits, 1),
+                           {b * static_cast<std::int64_t>(t_len), config_.vocab});
 }
 
 std::vector<TokenSeq> GnmtModel::greedy_translate(const std::vector<TokenSeq>& src,
@@ -145,7 +101,7 @@ std::vector<TokenSeq> GnmtModel::greedy_translate(const std::vector<TokenSeq>& s
   std::vector<TokenSeq> out(static_cast<std::size_t>(b));
   std::vector<bool> done(static_cast<std::size_t>(b), false);
   for (std::int64_t step = 0; step < max_len; ++step) {
-    Variable inp = concat_features(embedding_.forward(current), context);
+    Variable inp = autograd::cat({embedding_.forward(current), context}, 1);
     auto dec = decoder_.forward({inp}, states);
     states = dec.final_states;
     Variable h = dec.hiddens[0];

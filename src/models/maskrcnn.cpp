@@ -12,6 +12,17 @@ using autograd::Variable;
 using data::Box;
 using tensor::Tensor;
 
+namespace {
+/// `b` with each coordinate clamped to the image's [0, 1] extent.
+Box clamp_unit(Box b) {
+  b.x1 = std::clamp(b.x1, 0.0f, 1.0f);
+  b.y1 = std::clamp(b.y1, 0.0f, 1.0f);
+  b.x2 = std::clamp(b.x2, 0.0f, 1.0f);
+  b.y2 = std::clamp(b.y2, 0.0f, 1.0f);
+  return b;
+}
+}  // namespace
+
 Variable roi_align(const Variable& features, const std::vector<Box>& rois, std::int64_t pool) {
   const Tensor& f = features.value();
   if (f.ndim() != 4 || f.shape()[0] != 1)
@@ -141,12 +152,8 @@ std::vector<Box> MaskRcnnModel::decode_proposals(const RpnOutput& out) const {
   std::vector<float> scores;
   for (std::int64_t k = 0; k < top; ++k) {
     const std::int64_t a = ranked[static_cast<std::size_t>(k)].second;
-    Box b = codec_.decode(out.deltas.value().data() + a * 4,
-                          anchors_.anchors[static_cast<std::size_t>(a)]);
-    b.x1 = std::clamp(b.x1, 0.0f, 1.0f);
-    b.y1 = std::clamp(b.y1, 0.0f, 1.0f);
-    b.x2 = std::clamp(b.x2, 0.0f, 1.0f);
-    b.y2 = std::clamp(b.y2, 0.0f, 1.0f);
+    const Box b = clamp_unit(codec_.decode(out.deltas.value().data() + a * 4,
+                                           anchors_.anchors[static_cast<std::size_t>(a)]));
     if (b.w() <= 0.01f || b.h() <= 0.01f) continue;
     boxes.push_back(b);
     scores.push_back(ranked[static_cast<std::size_t>(k)].first);
@@ -258,23 +265,17 @@ Variable MaskRcnnWorkload::image_loss(const data::DetectionExample& ex) {
     sampled.push_back(negatives[k]);
     obj_targets.push_back(0.0f);
   }
-  // Gather sampled objectness logits via cat of slices.
-  std::vector<Variable> obj_rows;
-  obj_rows.reserve(sampled.size());
-  Variable obj2d = autograd::reshape(rpn_out.objectness, {anchors.size(), 1});
-  for (std::int64_t a : sampled) obj_rows.push_back(autograd::slice0(obj2d, a, a + 1));
-  Variable obj_logits = autograd::reshape(autograd::cat0(obj_rows),
-                                          {static_cast<std::int64_t>(sampled.size())});
+  Variable obj_logits = autograd::reshape(
+      autograd::gather_rows(autograd::reshape(rpn_out.objectness, {anchors.size(), 1}), sampled),
+      {static_cast<std::int64_t>(sampled.size())});
   Variable rpn_cls_loss = nn::bce_with_logits(obj_logits, obj_targets);
 
   Variable loss = rpn_cls_loss;
   if (!positives.empty()) {
-    std::vector<Variable> delta_rows;
     Tensor delta_targets({static_cast<std::int64_t>(positives.size()), 4});
     std::vector<float> wts(positives.size(), 1.0f);
     for (std::size_t k = 0; k < positives.size(); ++k) {
       const std::int64_t a = positives[k];
-      delta_rows.push_back(autograd::slice0(rpn_out.deltas, a, a + 1));
       const std::int64_t g = match.gt_index[static_cast<std::size_t>(a)];
       const auto enc = model_->codec().encode(ex.objects[static_cast<std::size_t>(g)].box,
                                               anchors.anchors[static_cast<std::size_t>(a)]);
@@ -282,7 +283,7 @@ Variable MaskRcnnWorkload::image_loss(const data::DetectionExample& ex) {
         delta_targets[static_cast<std::int64_t>(k) * 4 + q] = enc[static_cast<std::size_t>(q)];
     }
     Variable rpn_box_loss =
-        nn::smooth_l1(autograd::cat0(delta_rows), delta_targets, wts);
+        nn::smooth_l1(autograd::gather_rows(rpn_out.deltas, positives), delta_targets, wts);
     loss = autograd::add(loss, rpn_box_loss);
   }
 
@@ -290,12 +291,8 @@ Variable MaskRcnnWorkload::image_loss(const data::DetectionExample& ex) {
   std::vector<Box> rois = model_->decode_proposals(rpn_out);
   for (const auto& o : ex.objects) {
     rois.push_back(o.box);
-    Box jit = o.box;
     const float dx = rng_.uniform(-0.05f, 0.05f), dy = rng_.uniform(-0.05f, 0.05f);
-    jit.x1 = std::clamp(jit.x1 + dx, 0.0f, 1.0f);
-    jit.x2 = std::clamp(jit.x2 + dx, 0.0f, 1.0f);
-    jit.y1 = std::clamp(jit.y1 + dy, 0.0f, 1.0f);
-    jit.y2 = std::clamp(jit.y2 + dy, 0.0f, 1.0f);
+    const Box jit = clamp_unit({o.box.x1 + dx, o.box.y1 + dy, o.box.x2 + dx, o.box.y2 + dy});
     if (jit.w() > 0.02f && jit.h() > 0.02f) rois.push_back(jit);
   }
 
@@ -345,20 +342,19 @@ Variable MaskRcnnWorkload::image_loss(const data::DetectionExample& ex) {
     Variable masks = model_->mask_head(roi_feats);  // [R, C, M, M]
     const std::int64_t m = config_.model.mask_size;
     const std::int64_t ncls = config_.model.num_classes;
-    std::vector<Variable> mask_logit_rows;
+    std::vector<std::int64_t> mask_rows;  // rows r*C + cls of masks read as [R*C, M*M]
     std::vector<float> mask_targets;
     for (std::int64_t r : pos_rois) {
       const std::int64_t g = roi_gt[static_cast<std::size_t>(r)];
       const std::int64_t cls = ex.objects[static_cast<std::size_t>(g)].cls;
-      Variable row = autograd::slice0(masks, r, r + 1);            // [1, C, M, M]
-      Variable crow = autograd::reshape(row, {ncls, m * m});
-      mask_logit_rows.push_back(autograd::slice0(crow, cls, cls + 1));  // [1, M*M]
+      mask_rows.push_back(r * ncls + cls);
       const Tensor gt_crop = crop_mask(ex.objects[static_cast<std::size_t>(g)].mask,
                                        rois[static_cast<std::size_t>(r)], m);
       for (std::int64_t q = 0; q < m * m; ++q) mask_targets.push_back(gt_crop[q]);
     }
     Variable mask_logits = autograd::reshape(
-        autograd::cat0(mask_logit_rows),
+        autograd::gather_rows(autograd::reshape(masks, {masks.shape()[0] * ncls, m * m}),
+                              mask_rows),
         {static_cast<std::int64_t>(pos_rois.size()) * m * m});
     loss = autograd::add(loss, nn::bce_with_logits(mask_logits, mask_targets));
   }
@@ -404,12 +400,8 @@ std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
     for (std::size_t r = 0; r < proposals.size(); ++r) {
       const float score = probs[static_cast<std::int64_t>(r) * ncls + cls];
       if (score < config_.score_threshold) continue;
-      Box refined = model_->codec().decode(
-          roi_out.box_deltas.value().data() + static_cast<std::int64_t>(r) * 4, proposals[r]);
-      refined.x1 = std::clamp(refined.x1, 0.0f, 1.0f);
-      refined.y1 = std::clamp(refined.y1, 0.0f, 1.0f);
-      refined.x2 = std::clamp(refined.x2, 0.0f, 1.0f);
-      refined.y2 = std::clamp(refined.y2, 0.0f, 1.0f);
+      const Box refined = clamp_unit(model_->codec().decode(
+          roi_out.box_deltas.value().data() + static_cast<std::int64_t>(r) * 4, proposals[r]));
       if (refined.w() <= 0.01f || refined.h() <= 0.01f) continue;
       boxes.push_back(refined);
       scores.push_back(score);

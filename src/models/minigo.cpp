@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "checkpoint/format.h"
+#include "metrics/metrics.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -375,11 +376,8 @@ double MiniGoWorkload::evaluate() {
       board.play(ref);
     }
   }
-  if (predicted.empty()) return 0.0;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < predicted.size(); ++i)
-    if (predicted[i] == reference[i]) ++hits;
-  return static_cast<double>(hits) / static_cast<double>(predicted.size());
+  if (predicted.empty()) return 0.0;  // top1_accuracy rejects an empty set
+  return metrics::move_prediction_accuracy(predicted, reference);
 }
 
 void MiniGoWorkload::save_sections(checkpoint::CheckpointWriter& out) const {

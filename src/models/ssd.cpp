@@ -162,14 +162,8 @@ SsdModel::Output SsdModel::forward(const Variable& images) {
   Variable c2 = autograd::reshape(cls2, {n, na2, ncls});
   Variable b1 = autograd::reshape(box1, {n, na1, 4});
   Variable b2 = autograd::reshape(box2, {n, na2, 4});
-  // cat along dim1 via permute->cat0->permute.
-  auto cat1 = [](const Variable& p, const Variable& q) {
-    Variable pp = autograd::permute(p, {1, 0, 2});
-    Variable qq = autograd::permute(q, {1, 0, 2});
-    return autograd::permute(autograd::cat0({pp, qq}), {1, 0, 2});
-  };
-  Variable cls = cat1(c1, c2);  // [N, A, ncls]
-  Variable box = cat1(b1, b2);  // [N, A, 4]
+  Variable cls = autograd::cat({c1, c2}, 1);  // [N, A, ncls]
+  Variable box = autograd::cat({b1, b2}, 1);  // [N, A, 4]
   return {autograd::reshape(cls, {n * (na1 + na2), ncls}),
           autograd::reshape(box, {n * (na1 + na2), 4})};
 }

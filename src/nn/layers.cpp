@@ -251,7 +251,7 @@ Embedding::Embedding(std::int64_t vocab, std::int64_t dim, tensor::Rng& rng) {
 }
 
 Variable Embedding::forward(const std::vector<std::int64_t>& indices) const {
-  return autograd::embedding(table, indices);
+  return autograd::gather_rows(table, indices);
 }
 
 // ---- LSTMCell -------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "parallel/parallel_for.h"
 #include "tensor/pool.h"
@@ -31,6 +32,15 @@ std::string shape_str(const Shape& s) {
   }
   os << ']';
   return os.str();
+}
+
+/// Extents before and after `dim`: a slice or cat along `dim` moves `outer`
+/// blocks, each a run of whole `inner`-sized rows.
+std::pair<std::int64_t, std::int64_t> outer_inner(const Shape& s, std::size_t dim) {
+  std::int64_t outer = 1, inner = 1;
+  for (std::size_t d = 0; d < dim; ++d) outer *= s[d];
+  for (std::size_t d = dim + 1; d < s.size(); ++d) inner *= s[d];
+  return {outer, inner};
 }
 
 }  // namespace
@@ -224,35 +234,41 @@ Tensor Tensor::permute(const std::vector<std::int64_t>& dims) const {
   return out;
 }
 
-Tensor Tensor::slice0(std::int64_t begin, std::int64_t end) const {
-  if (ndim() < 1) fail("slice0(): rank 0");
-  if (begin < 0 || end > shape_[0] || begin > end) fail("slice0(): bad range");
+Tensor Tensor::slice(std::int64_t dim, std::int64_t begin, std::int64_t end) const {
+  if (dim < 0 || dim >= ndim()) fail("slice(): dim out of range");
+  const auto ud = static_cast<std::size_t>(dim);
+  if (begin < 0 || end > shape_[ud] || begin > end) fail("slice(): bad range");
+  const auto [outer, inner] = outer_inner(shape_, ud);
+  const std::int64_t src_block = shape_[ud] * inner, dst_block = (end - begin) * inner;
   Shape out_shape = shape_;
-  out_shape[0] = end - begin;
-  const std::int64_t row = numel() / std::max<std::int64_t>(shape_[0], 1);
-  Tensor out = uninitialized(std::move(out_shape));  // fully covered by the copy
-  std::copy(data_.begin() + static_cast<std::ptrdiff_t>(begin * row),
-            data_.begin() + static_cast<std::ptrdiff_t>(end * row), out.data_.begin());
+  out_shape[ud] = end - begin;
+  Tensor out = uninitialized(std::move(out_shape));  // fully covered by the block copies
+  for (std::int64_t o = 0; o < outer; ++o)
+    std::copy_n(data() + o * src_block + begin * inner, dst_block, out.data() + o * dst_block);
   return out;
 }
 
-Tensor Tensor::cat0(const std::vector<Tensor>& parts) {
-  if (parts.empty()) fail("cat0(): empty");
-  Shape out_shape = parts[0].shape_;
-  std::int64_t total0 = 0;
-  for (const auto& p : parts) {
-    if (p.ndim() != static_cast<std::int64_t>(out_shape.size())) fail("cat0(): rank mismatch");
-    for (std::size_t d = 1; d < out_shape.size(); ++d)
-      if (p.shape_[d] != out_shape[d]) fail("cat0(): trailing extent mismatch");
-    total0 += p.shape_[0];
+Tensor Tensor::cat(const std::vector<const Tensor*>& parts, std::int64_t dim) {
+  if (parts.empty()) fail("cat(): empty");
+  if (dim < 0 || dim >= parts[0]->ndim()) fail("cat(): dim out of range");
+  const auto ud = static_cast<std::size_t>(dim);
+  Shape out_shape = parts[0]->shape_;
+  std::int64_t total = 0;
+  for (const Tensor* p : parts) {
+    if (p->shape_.size() != out_shape.size()) fail("cat(): rank mismatch");
+    for (std::size_t d = 0; d < out_shape.size(); ++d)
+      if (d != ud && p->shape_[d] != out_shape[d]) fail("cat(): extent mismatch off the cat axis");
+    total += p->shape_[ud];
   }
-  out_shape[0] = total0;
-  Tensor out = uninitialized(out_shape);  // the part copies cover every element
-  std::size_t pos = 0;
-  for (const auto& p : parts) {
-    std::copy(p.data_.begin(), p.data_.end(), out.data_.begin() + static_cast<std::ptrdiff_t>(pos));
-    pos += p.data_.size();
-  }
+  out_shape[ud] = total;
+  const auto [outer, inner] = outer_inner(out_shape, ud);
+  Tensor out = uninitialized(std::move(out_shape));  // the part copies cover every element
+  float* dst = out.data();
+  for (std::int64_t o = 0; o < outer; ++o)
+    for (const Tensor* p : parts) {
+      const std::int64_t block = p->shape_[ud] * inner;
+      dst = std::copy_n(p->data() + o * block, block, dst);
+    }
   return out;
 }
 

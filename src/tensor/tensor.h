@@ -91,10 +91,11 @@ class Tensor {
   Tensor reshape(Shape new_shape) const;
   /// Permute dimensions, e.g. permute({1,0}) is a 2-D transpose.
   Tensor permute(const std::vector<std::int64_t>& dims) const;
-  /// Slice along dim 0: rows [begin, end).
-  Tensor slice0(std::int64_t begin, std::int64_t end) const;
-  /// Concatenate along dim 0 (all other extents must match).
-  static Tensor cat0(const std::vector<Tensor>& parts);
+  /// Indices [begin, end) along `dim`, every other extent kept.
+  Tensor slice(std::int64_t dim, std::int64_t begin, std::int64_t end) const;
+  /// Concatenate along `dim` (all other extents must match). The parts are
+  /// read in place: the output is the only buffer drawn.
+  static Tensor cat(const std::vector<const Tensor*>& parts, std::int64_t dim);
 
   // ----- elementwise & broadcast binary ops ---------------------------------
   Tensor add(const Tensor& o) const { return binary(o, std::plus<float>{}); }

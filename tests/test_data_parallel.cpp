@@ -78,7 +78,7 @@ struct ToyProblem {
   /// Sum-of-losses gradient over batch rows [begin, end).
   std::vector<Tensor> shard_grads(std::int64_t begin, std::int64_t end) {
     layer.zero_grad();
-    Tensor shard_in = inputs.slice0(begin, end);
+    Tensor shard_in = inputs.slice(0, begin, end);
     std::vector<std::int64_t> shard_labels(labels.begin() + begin, labels.begin() + end);
     Variable loss = nn::cross_entropy(layer.forward(Variable(shard_in)), shard_labels);
     // cross_entropy returns the shard MEAN; scale to a per-shard SUM.
@@ -194,7 +194,7 @@ TEST(DataParallelStep, TrainsToSameQualityAsSerial) {
                 layer.zero_grad();
                 std::vector<std::int64_t> shard_labels(labels.begin() + b, labels.begin() + e);
                 Variable loss = nn::cross_entropy(
-                    layer.forward(Variable(inputs.slice0(b, e))), shard_labels);
+                    layer.forward(Variable(inputs.slice(0, b, e))), shard_labels);
                 autograd::mul_scalar(loss, static_cast<float>(e - b)).backward();
                 return std::vector<Tensor>{layer.weight.grad(), layer.bias.grad()};
               },

@@ -136,7 +136,7 @@ TEST(TensorPermute, BadDimsThrow) {
 
 TEST(TensorSliceCat, Slice0Basic) {
   Tensor t = Tensor::arange(12).reshape({4, 3});
-  Tensor s = t.slice0(1, 3);
+  Tensor s = t.slice(0, 1, 3);
   EXPECT_EQ(s.shape(), (Shape{2, 3}));
   EXPECT_EQ(s.at({0, 0}), 3.0f);
   EXPECT_EQ(s.at({1, 2}), 8.0f);
@@ -144,13 +144,34 @@ TEST(TensorSliceCat, Slice0Basic) {
 
 TEST(TensorSliceCat, Cat0ConcatenatesAndRoundTrips) {
   Tensor t = Tensor::arange(12).reshape({4, 3});
-  Tensor joined = Tensor::cat0({t.slice0(0, 2), t.slice0(2, 4)});
+  const Tensor top = t.slice(0, 0, 2), bottom = t.slice(0, 2, 4);
+  Tensor joined = Tensor::cat({&top, &bottom}, 0);
   ASSERT_TRUE(joined.same_shape(t));
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(joined[i], t[i]);
 }
 
 TEST(TensorSliceCat, Cat0MismatchThrows) {
-  EXPECT_THROW(Tensor::cat0({Tensor({2, 3}), Tensor({2, 4})}), std::invalid_argument);
+  const Tensor a({2, 3}), b({2, 4});
+  EXPECT_THROW(Tensor::cat({&a, &b}, 0), std::invalid_argument);
+}
+
+// Along an inner axis a slice or cat moves one block per outer index.
+TEST(TensorSliceCat, InnerAxesMoveBlocksPerOuterIndex) {
+  const Tensor t = Tensor::arange(24).reshape({2, 3, 4});
+  const Tensor mid = t.slice(1, 1, 3);  // [2, 2, 4]
+  ASSERT_EQ(mid.shape(), (Shape{2, 2, 4}));
+  EXPECT_EQ(mid.at({0, 0, 0}), 4.0f);
+  EXPECT_EQ(mid.at({1, 1, 3}), 23.0f);
+  const Tensor last = t.slice(2, 3, 4);  // [2, 3, 1]
+  EXPECT_EQ(last.at({1, 2, 0}), 23.0f);
+  const Tensor head = t.slice(1, 0, 1), tail = t.slice(1, 1, 3);
+  const Tensor joined = Tensor::cat({&head, &tail}, 1);
+  ASSERT_TRUE(joined.same_shape(t));
+  for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(joined[i], t[i]);
+  const Tensor lo = t.slice(2, 0, 1), hi = t.slice(2, 1, 4);
+  const Tensor rejoined = Tensor::cat({&hi, &lo}, 2);  // columns rotated left by one
+  EXPECT_EQ(rejoined.at({1, 2, 0}), 21.0f);
+  EXPECT_EQ(rejoined.at({1, 2, 3}), 20.0f);
 }
 
 TEST(TensorBroadcast, SameShapeFastPath) {
@@ -294,8 +315,8 @@ TEST(TensorMatmul, BatchedAgainstLoop) {
   Tensor c = a.bmm(b);
   ASSERT_EQ(c.shape(), (Shape{3, 2, 5}));
   for (std::int64_t s = 0; s < 3; ++s) {
-    Tensor as = a.slice0(s, s + 1).reshape({2, 4});
-    Tensor bs = b.slice0(s, s + 1).reshape({4, 5});
+    Tensor as = a.slice(0, s, s + 1).reshape({2, 4});
+    Tensor bs = b.slice(0, s, s + 1).reshape({4, 5});
     Tensor cs = as.matmul(bs);
     for (std::int64_t i = 0; i < 10; ++i)
       EXPECT_NEAR(c[s * 10 + i], cs[i], 1e-4);
